@@ -912,6 +912,75 @@ let odc_bench () =
   close_out oc;
   Printf.printf "  wrote BENCH_odc.json\n"
 
+let git_rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | ic ->
+    let rev = try input_line ic with End_of_file -> "" in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when rev <> "" -> rev
+    | _ -> "unknown")
+  | exception Unix.Unix_error _ -> "unknown"
+
+let sizing_bench () =
+  section "Baseline sizing (Optimizer.size_for_speed on the incremental STA)";
+  let module Metrics = Ser_obs.Obs.Metrics in
+  let v name =
+    match Metrics.find_counter name with
+    | Some ctr -> Metrics.value ctr
+    | None -> 0
+  in
+  let lib = Ser_cell.Library.create () in
+  let rows =
+    List.map
+      (fun name ->
+        let c = Ser_circuits.Iscas.load name in
+        let trials0 = v "sizing.trials" and evals0 = v "sizing.gate_evals" in
+        let asg = Sertopt.Optimizer.size_for_speed lib c in
+        let trials = v "sizing.trials" - trials0 in
+        let evals = v "sizing.gate_evals" - evals0 in
+        (* median of 5 timed runs after the counted one *)
+        let times =
+          Array.init 5 (fun _ ->
+              let t0 = Ser_util.Mono.now () in
+              ignore (Sertopt.Optimizer.size_for_speed lib c);
+              Ser_util.Mono.now () -. t0)
+        in
+        Array.sort compare times;
+        let ms = 1000. *. times.(2) in
+        let delay = (Ser_sta.Timing.analyze lib asg).Ser_sta.Timing.critical_delay in
+        Printf.printf
+          "  %-6s %5d gates: %8.2f ms, %5d trials, %8d gate evals, \
+           critical delay %.1f ps\n%!"
+          name (Ser_netlist.Circuit.gate_count c) ms trials evals delay;
+        Ser_util.Json.(
+          Obj
+            [
+              ("circuit", Str name);
+              ("gates", int (Ser_netlist.Circuit.gate_count c));
+              ("ms", Num ms);
+              ("sizing.trials", int trials);
+              ("sizing.gate_evals", int evals);
+              ("critical_delay_ps", Num delay);
+            ]))
+      [ "c432"; "c880"; "c2670"; "c5315"; "c7552" ]
+  in
+  let doc =
+    Ser_util.Json.(
+      Obj
+        [
+          ("nproc", int (Domain.recommended_domain_count ()));
+          ("ocaml", Str Sys.ocaml_version);
+          ("git_rev", Str (git_rev ()));
+          ("jobs", int (Ser_par.Par.jobs ()));
+          ("circuits", List rows);
+        ])
+  in
+  let oc = open_out "BENCH_sizing.json" in
+  output_string oc (Ser_util.Json.to_string doc);
+  output_string oc "\n";
+  close_out oc;
+  Printf.printf "  wrote BENCH_sizing.json\n"
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   (* a leading "-j N" pins the pool width for every target *)
@@ -957,6 +1026,7 @@ let () =
   | [ "shard" ] -> shard_bench ()
   | [ "serve" ] -> serve_bench ()
   | [ "odc" ] -> odc_bench ()
+  | [ "sizing" ] -> sizing_bench ()
   | other ->
     Printf.eprintf
       "unknown bench target %s\n\
@@ -965,6 +1035,6 @@ let () =
        table1-full runtime ablations \
        ablation-{pi,samples,opt,vectors,charge,masking,model} \
        alternatives variation ser-rate pipeline micro par sertopt \
-       sertopt-smoke jobs shard serve odc\n"
+       sertopt-smoke jobs shard serve odc sizing\n"
       (String.concat " " other);
     exit 2

@@ -199,6 +199,26 @@ let timing_tables t p =
           Pmap.add p { timing = (delay_tbl, ramp_tbl) } t.timing_cache;
         (delay_tbl, ramp_tbl))
 
+type timing_model =
+  | Closed_form of Gate_model.timing_model
+  | Tables of (Lut.t * Lut.t)
+
+let timing_model t p =
+  match t.backend with
+  | Analytic -> Closed_form (Gate_model.timing_model p)
+  | Transient -> Tables (timing_tables t p)
+
+(* One evaluation for both numbers: one stage walk on the analytic
+   model, one pair of table reads (behind one lock, in [timing_model])
+   on the transient backend. *)
+let eval_timing m ~input_ramp ~cload =
+  match m with
+  | Closed_form g -> Gate_model.eval_timing g ~input_ramp ~cload
+  | Tables (d, r) -> (Lut.eval2 d input_ramp cload, Lut.eval2 r input_ramp cload)
+
+let delay_and_ramp t p ~input_ramp ~cload =
+  eval_timing (timing_model t p) ~input_ramp ~cload
+
 let delay t p ~input_ramp ~cload =
   match t.backend with
   | Analytic -> Gate_model.delay p ~input_ramp ~cload

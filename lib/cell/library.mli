@@ -67,6 +67,23 @@ val switching_energy : t -> Ser_device.Cell_params.t -> cload:float -> float
 val delay : t -> Ser_device.Cell_params.t -> input_ramp:float -> cload:float -> float
 val output_ramp : t -> Ser_device.Cell_params.t -> input_ramp:float -> cload:float -> float
 
+val delay_and_ramp :
+  t -> Ser_device.Cell_params.t -> input_ramp:float -> cload:float -> float * float
+(** [(delay, output_ramp)] from one characterisation (one stage walk on
+    [Analytic], one table fetch on [Transient]); bit-equal to the pair
+    of calls above. It is [eval_timing (timing_model t p)]. *)
+
+type timing_model
+(** One cell's timing characterisation, resolved: the closed form's
+    cell-only terms, or the cell's delay and ramp tables. *)
+
+val timing_model : t -> Ser_device.Cell_params.t -> timing_model
+(** Characterises the cell on first use, like the lookups above. *)
+
+val eval_timing : timing_model -> input_ramp:float -> cload:float -> float * float
+(** [(delay, output_ramp)] at one operating point. The STA kernel keeps
+    a gate's model while its cell is unchanged and calls this. *)
+
 val generated_glitch_width :
   t ->
   Ser_device.Cell_params.t ->

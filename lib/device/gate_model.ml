@@ -134,32 +134,74 @@ let drive_at (p : Cell_params.t) direction ~vout =
     let wl = w /. p.length /. float_of_int s.p_stack in
     Mosfet.drain_current m ~w_over_l:wl ~vgs:p.vdd ~vds:(p.vdd -. vout)
 
-(* Half-swing time of a stage driving [c] fF at constant worst drive. *)
-let stage_half_swing p s ~c direction =
-  let i = stage_drive p s direction in
-  if i <= 0. then Float.max_float else c *. p.vdd /. 2. /. i
-
 let ramp_sensitivity = 0.25
 let intrinsic_delay_per_stage = 0.6 (* ps: junction/miller effects *)
 
+(* Half-swing time of a stage driving [c] fF at constant worst drive,
+   and the stage's delay and output ramp from it: the one statement of
+   the stage arithmetic, shared by the direct walk and the model. *)
+let half_swing ~c ~vdd i =
+  if i <= 0. then Float.max_float else c *. vdd /. 2. /. i
+
+let stage_delay ~t ~ramp =
+  intrinsic_delay_per_stage +. t +. (ramp_sensitivity *. ramp)
+
+let stage_ramp t = 1.6 *. t
+
+(* Walks the stages computing each drive on the way: the cheapest route
+   for a one-off query (cell matching probes many cells once each). *)
 let timing (p : Cell_params.t) ~input_ramp ~cload =
   let stage_list = stages p in
-  let n_stages = List.length stage_list in
+  let last = List.length stage_list - 1 in
   let rec loop acc_delay ramp idx = function
     | [] -> (acc_delay, ramp)
     | s :: rest ->
-      let c =
-        if idx = n_stages - 1 then cload +. output_cap p
-        else internal_cap p +. 0.1
+      let c = if idx = last then cload +. output_cap p else internal_cap p +. 0.1 in
+      let t =
+        Float.max
+          (half_swing ~c ~vdd:p.vdd (stage_drive p s Pull_down))
+          (half_swing ~c ~vdd:p.vdd (stage_drive p s Pull_up))
       in
-      let t_down = stage_half_swing p s ~c Pull_down in
-      let t_up = stage_half_swing p s ~c Pull_up in
-      let t = Float.max t_down t_up in
-      let d = intrinsic_delay_per_stage +. t +. (ramp_sensitivity *. ramp) in
-      let out_ramp = 1.6 *. t in
-      loop (acc_delay +. d) out_ramp (idx + 1) rest
+      loop (acc_delay +. stage_delay ~t ~ramp) (stage_ramp t) (idx + 1) rest
   in
   loop 0. input_ramp 0 stage_list
+
+type timing_model = {
+  vdd : float;
+  i_down : float array;
+  i_up : float array;
+  c_fixed : float array;
+}
+
+let timing_model (p : Cell_params.t) =
+  let st = Array.of_list (stages p) in
+  let last = Array.length st - 1 in
+  {
+    vdd = p.vdd;
+    i_down = Array.map (fun s -> stage_drive p s Pull_down) st;
+    i_up = Array.map (fun s -> stage_drive p s Pull_up) st;
+    c_fixed =
+      Array.mapi
+        (fun k _ -> if k = last then output_cap p else internal_cap p +. 0.1)
+        st;
+  }
+
+(* [timing] with the cell-only terms read from the model: the cheapest
+   route when one cell is evaluated at many operating points. *)
+let eval_timing m ~input_ramp ~cload =
+  let last = Array.length m.i_down - 1 in
+  let acc_delay = ref 0. and ramp = ref input_ramp in
+  for k = 0 to last do
+    let c = if k = last then cload +. m.c_fixed.(k) else m.c_fixed.(k) in
+    let t =
+      Float.max
+        (half_swing ~c ~vdd:m.vdd m.i_down.(k))
+        (half_swing ~c ~vdd:m.vdd m.i_up.(k))
+    in
+    acc_delay := !acc_delay +. stage_delay ~t ~ramp:!ramp;
+    ramp := stage_ramp t
+  done;
+  (!acc_delay, !ramp)
 
 let delay p ~input_ramp ~cload = fst (timing p ~input_ramp ~cload)
 let output_ramp p ~input_ramp ~cload = snd (timing p ~input_ramp ~cload)

@@ -64,6 +64,21 @@ val delay : Cell_params.t -> input_ramp:float -> cload:float -> float
 val output_ramp : Cell_params.t -> input_ramp:float -> cload:float -> float
 (** 10%–90% output transition time, ps. *)
 
+val timing : Cell_params.t -> input_ramp:float -> cload:float -> float * float
+(** [(delay, output_ramp)] from one walk over the stages; the two
+    functions above are its projections. *)
+
+type timing_model
+(** The cell-only terms of {!timing}, resolved once: every stage's
+    worst-case pull-down and pull-up drive and the capacitance it
+    charges besides the external load. *)
+
+val timing_model : Cell_params.t -> timing_model
+
+val eval_timing : timing_model -> input_ramp:float -> cload:float -> float * float
+(** Equal to [timing p] bit for bit, where [m = timing_model p]; cheaper
+    when one cell is evaluated at many operating points. *)
+
 (** {1 Soft-error primitives} *)
 
 val collected_charge_tau : float * float

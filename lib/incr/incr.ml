@@ -7,15 +7,9 @@ module Timing = Ser_sta.Timing
 module Analysis = Aserta.Analysis
 module Obs = Ser_obs.Obs
 
-(* The early-cutoff comparison. [true] guarantees the two values are
-   bit-identical, so they are interchangeable in every downstream
-   computation; [false] merely forces a recompute, which replays the
-   same kernels and lands on the same bits — correct either way. Plain
-   float [=] alone is not a valid [true]: it identifies 0. and -0.
-   (distinguished here by their reciprocals, with no allocation, unlike
-   [Int64.bits_of_float] which boxes in bytecode/dev builds). NaNs
-   compare unequal and simply forgo the cutoff. *)
-let same_bits a b = a = b && (a <> 0. || 1. /. a = 1. /. b)
+module Incr_sta = Ser_sta.Incr_sta
+
+let same_bits = Ser_util.Floatx.same_bits
 
 let same_row a b =
   a == b
@@ -49,7 +43,6 @@ module Memo = struct
   type stats = { hits : int; misses : int }
 
   type t = {
-    timing : (Cell_params.t * float * float, float * float) Hashtbl.t;
     glitch : (Cell_params.t * float * float, float * float) Hashtbl.t;
     mu : Mutex.t;
     mutable hits : int;
@@ -58,7 +51,6 @@ module Memo = struct
 
   let create () =
     {
-      timing = Hashtbl.create 1024;
       glitch = Hashtbl.create 512;
       mu = Mutex.create ();
       hits = 0;
@@ -140,17 +132,11 @@ type t = {
   samples : float array;
   n_pos : int;
   po_pos : int array;
-  (* mutable per-gate state, mirroring Timing.t / Analysis.t *)
   ws_ctx : Analysis.ws_ctx option array;
       (* per non-input, non-PO gate: hoisted successors/sensitizations/
          weights; assignment-independent, shared by forks *)
-  cells : Cell_params.t option array;
-  loads : float array;
-  input_ramp : float array;
-  delays : float array;
-  ramps : float array;
-  arrival : float array;
-  mutable critical_delay : float;
+  sta : Incr_sta.t; (* cells and the timing arrays *)
+  (* mutable per-gate state, mirroring Analysis.t *)
   tables : float array array array;
   gen_width : float array;
   expected_width : float array array;
@@ -173,8 +159,6 @@ type t = {
   stats : stats;
 }
 
-(* TEMP instrumentation *)
-
 type metrics = {
   m_unreliability : float;
   m_delay : float;
@@ -194,16 +178,6 @@ let refold t =
   let tot = ref 0. in
   Array.iter (fun u -> tot := !tot +. u) t.unreliability;
   !tot
-
-let cell_exn t id =
-  match t.cells.(id) with
-  | Some p -> p
-  | None -> invalid_arg "Incr: primary input has no cell"
-
-let memo_timing t cell ~input_ramp ~cload =
-  Memo.lookup t.memo t.memo.Memo.timing (cell, input_ramp, cload) (fun () ->
-      ( Library.delay t.lib cell ~input_ramp ~cload,
-        Library.output_ramp t.lib cell ~input_ramp ~cload ))
 
 let memo_glitch t cell ~node_cap =
   let charge = t.config.Analysis.charge in
@@ -256,10 +230,6 @@ let of_analysis ?memo lib asg (a : Analysis.t) =
   if a.Analysis.circuit != c then
     invalid_arg "Incr.of_analysis: analysis is for a different circuit";
   let n = Circuit.node_count c in
-  let cells =
-    Array.init n (fun id ->
-        if Circuit.is_input c id then None else Some (Assignment.get asg id))
-  in
   let timing = a.Analysis.timing in
   let po_pos = Analysis.output_positions c in
   (* hoist the assignment-independent part of every WS-table
@@ -277,11 +247,7 @@ let of_analysis ?memo lib asg (a : Analysis.t) =
   let glitch_low = Array.make n 0. in
   let glitch_high = Array.make n 0. in
   let brackets = Array.make n ([||], [||]) in
-  Array.iteri
-    (fun id cell ->
-      match cell with
-      | None -> ()
-      | Some p ->
+  Assignment.fold_gates asg ~init:() ~f:(fun () id p ->
         dyn_energy.(id) <-
           Library.switching_energy lib p ~cload:timing.Timing.loads.(id);
         leak_power.(id) <- Library.leakage_power lib p;
@@ -298,8 +264,7 @@ let of_analysis ?memo lib asg (a : Analysis.t) =
             ~output_low:false;
         brackets.(id) <-
           Analysis.ws_brackets ~samples:a.Analysis.samples
-            ~delay:timing.Timing.delays.(id))
-    cells;
+            ~delay:timing.Timing.delays.(id));
   let t =
     {
       lib;
@@ -310,13 +275,7 @@ let of_analysis ?memo lib asg (a : Analysis.t) =
       n_pos = Array.length c.Circuit.outputs;
       po_pos;
       ws_ctx;
-      cells;
-      loads = Array.copy timing.Timing.loads;
-      input_ramp = Array.copy timing.Timing.input_ramp;
-      delays = Array.copy timing.Timing.delays;
-      ramps = Array.copy timing.Timing.ramps;
-      arrival = Array.copy timing.Timing.arrival;
-      critical_delay = timing.Timing.critical_delay;
+      sta = Incr_sta.of_timing ~env:config.Analysis.env lib asg timing;
       tables =
         (* re-point every provably-zero row at the gate's shared zero
            row ([ws_ctx_live] false implies the materialised row is all
@@ -358,12 +317,7 @@ let create ?memo ~config lib asg masking =
 let fork t =
   {
     t with
-    cells = Array.copy t.cells;
-    loads = Array.copy t.loads;
-    input_ramp = Array.copy t.input_ramp;
-    delays = Array.copy t.delays;
-    ramps = Array.copy t.ramps;
-    arrival = Array.copy t.arrival;
+    sta = Incr_sta.fork t.sta;
     (* spine copies: the inner rows are replaced wholesale on every
        recompute, never mutated, so sharing them is safe copy-on-write *)
     tables = Array.copy t.tables;
@@ -391,29 +345,6 @@ let validate t g (cell : Cell_params.t) =
     || cell.Cell_params.fanin <> Array.length nd.Circuit.fanin
   then invalid_arg "Incr.update: cell does not match gate"
 
-(* Recompute one node's load exactly as Timing.compute_loads produces
-   it: for a fixed node, the sweep over readers adds each reader pin's
-   input capacitance in ascending (reader id, pin) order — which is
-   precisely the order of the node's [fanout] array — and the primary-
-   output pin capacitance comes last. *)
-let recompute_load t f =
-  let nd = Circuit.node t.circuit f in
-  let acc = ref 0. in
-  Array.iter
-    (fun r -> acc := !acc +. Library.input_cap t.lib (cell_exn t r))
-    nd.Circuit.fanout;
-  if Circuit.is_output t.circuit f then
-    acc := !acc +. t.config.Analysis.env.Timing.po_cap;
-  !acc
-
-let build_assignment t =
-  let asg = Assignment.uniform t.lib t.circuit in
-  Array.iteri
-    (fun id cell ->
-      match cell with None -> () | Some p -> Assignment.set asg id p)
-    t.cells;
-  asg
-
 (* When one batch touches a large fraction of the gates, the union of
    the dirty cones covers nearly the whole circuit and cone propagation
    costs more than the from-scratch pass it replays — rebuild wholesale
@@ -421,51 +352,55 @@ let build_assignment t =
 let rebuild t changes =
   t.stats.full_rebuilds <- t.stats.full_rebuilds + 1;
   Obs.Metrics.incr m_rebuilds;
-  List.iter
-    (fun (g, cell) ->
-      t.stats.cells_changed <- t.stats.cells_changed + 1;
-      t.cells.(g) <- Some cell)
-    changes;
+  t.stats.cells_changed <- t.stats.cells_changed + List.length changes;
+  Incr_sta.try_cells t.sta changes;
+  Incr_sta.commit t.sta;
   let a =
-    Analysis.run_electrical t.config t.lib (build_assignment t) t.masking
+    Analysis.run_electrical t.config t.lib (Incr_sta.assignment t.sta)
+      t.masking
   in
-  let timing = a.Analysis.timing in
-  let n = Array.length t.loads in
-  Array.blit timing.Timing.loads 0 t.loads 0 n;
-  Array.blit timing.Timing.input_ramp 0 t.input_ramp 0 n;
-  Array.blit timing.Timing.delays 0 t.delays 0 n;
-  Array.blit timing.Timing.ramps 0 t.ramps 0 n;
-  Array.blit timing.Timing.arrival 0 t.arrival 0 n;
-  t.critical_delay <- timing.Timing.critical_delay;
+  let n = Circuit.node_count t.circuit in
   Array.blit a.Analysis.tables 0 t.tables 0 n;
   Array.blit a.Analysis.gen_width 0 t.gen_width 0 n;
   Array.blit a.Analysis.expected_width 0 t.expected_width 0 n;
   Array.blit a.Analysis.unreliability 0 t.unreliability 0 n;
-  Array.iteri
-    (fun id cell ->
-      match cell with
-      | None -> ()
-      | Some p ->
-        t.dyn_energy.(id) <-
-          Library.switching_energy t.lib p ~cload:t.loads.(id);
-        t.leak_power.(id) <- Library.leakage_power t.lib p;
-        t.cell_area.(id) <- Library.area t.lib p;
-        let node_cap = t.loads.(id) +. Library.output_cap t.lib p in
-        let wl, wh = memo_glitch t p ~node_cap in
-        t.glitch_low.(id) <- wl;
-        t.glitch_high.(id) <- wh;
-        t.brackets.(id) <-
-          Analysis.ws_brackets ~samples:t.samples ~delay:t.delays.(id))
-    t.cells;
+  for id = 0 to n - 1 do
+    if not (Circuit.is_input t.circuit id) then begin
+      let p = Incr_sta.cell t.sta id in
+      let load = Incr_sta.load t.sta id in
+      t.dyn_energy.(id) <- Library.switching_energy t.lib p ~cload:load;
+      t.leak_power.(id) <- Library.leakage_power t.lib p;
+      t.cell_area.(id) <- Library.area t.lib p;
+      let node_cap = load +. Library.output_cap t.lib p in
+      let wl, wh = memo_glitch t p ~node_cap in
+      t.glitch_low.(id) <- wl;
+      t.glitch_high.(id) <- wh;
+      t.brackets.(id) <-
+        Analysis.ws_brackets ~samples:t.samples ~delay:(Incr_sta.delay t.sta id)
+    end
+  done;
   t.kahan_sum <- refold t;
   t.kahan_c <- 0.
 
 let update_impl t changes =
+  let sta = t.sta in
+  (* the batch as if applied in order: each gate once, at its last
+     write, dropped if that is its current cell *)
+  let last = Hashtbl.create 8 in
+  List.iter
+    (fun (g, cell) ->
+      validate t g cell;
+      Hashtbl.replace last g cell)
+    changes;
   let changes =
-    List.filter
-      (fun (g, cell) ->
-        validate t g cell;
-        not (Cell_params.equal (cell_exn t g) cell))
+    List.filter_map
+      (fun (g, _) ->
+        match Hashtbl.find_opt last g with
+        | None -> None
+        | Some cell ->
+          Hashtbl.remove last g;
+          if Cell_params.equal (Incr_sta.cell sta g) cell then None
+          else Some (g, cell))
       changes
   in
   if changes <> [] then begin
@@ -475,138 +410,79 @@ let update_impl t changes =
     if List.length changes > max 8 (Circuit.gate_count c / 8) then
       rebuild t changes
     else begin
-    let sta_dirty = Array.make n false in
-    let delay_changed = Array.make n false in
+    (* 1-3. cell writes, loads of the fan-in nets and the forward STA
+       over the fanout cone, with bitwise cutoff: the STA handle *)
+    let evals0 = Incr_sta.gate_evals sta and cut0 = Incr_sta.cutoffs sta in
+    Incr_sta.try_cells sta changes;
+    Incr_sta.commit sta;
+    t.stats.sta_recomputed <-
+      t.stats.sta_recomputed + Incr_sta.gate_evals sta - evals0;
+    t.stats.sta_cutoff <- t.stats.sta_cutoff + Incr_sta.cutoffs sta - cut0;
+    let cell_changed = Array.make n false in
     let table_changed = Array.make n false in
-    let u_dirty = Array.make n false in
-    let load_dirty = Array.make n false in
-    let glitch_dirty = Array.make n false in
-    (* 1. apply the cell writes, refresh the cell-only terms, and seed
-       the dirty sets: the gate itself plus every fan-in net whose load
-       its input pins contribute to *)
     List.iter
       (fun (g, cell) ->
         t.stats.cells_changed <- t.stats.cells_changed + 1;
-        t.cells.(g) <- Some cell;
+        cell_changed.(g) <- true;
         t.leak_power.(g) <- Library.leakage_power t.lib cell;
-        t.cell_area.(g) <- Library.area t.lib cell;
-        sta_dirty.(g) <- true;
-        u_dirty.(g) <- true;
-        glitch_dirty.(g) <- true;
-        Array.iter
-          (fun f -> load_dirty.(f) <- true)
-          (Circuit.node c g).Circuit.fanin)
+        t.cell_area.(g) <- Library.area t.lib cell)
       changes;
-    (* 2. loads (after all writes: two changed gates may share a net) *)
-    for f = 0 to n - 1 do
-      if load_dirty.(f) then begin
-        let l = recompute_load t f in
-        if not (same_bits l t.loads.(f)) then begin
-          t.loads.(f) <- l;
-          if not (Circuit.is_input c f) then begin
-            sta_dirty.(f) <- true;
-            glitch_dirty.(f) <- true
-          end;
-          u_dirty.(f) <- true
-        end
-      end
-    done;
-    (* 3. forward STA over the fanout cone, ascending ids (ids are
-       topological), replaying Timing.analyze's per-gate body; cutoff:
-       a gate whose output ramp and arrival are bit-unchanged does not
-       dirty its readers *)
-    let pi_ramp = t.config.Analysis.env.Timing.pi_ramp in
-    for id = 0 to n - 1 do
-      if sta_dirty.(id) then begin
-        t.stats.sta_recomputed <- t.stats.sta_recomputed + 1;
-        let nd = Circuit.node c id in
-        let worst_ramp = ref pi_ramp in
-        let worst_arrival = ref 0. in
-        Array.iter
-          (fun f ->
-            if t.ramps.(f) > !worst_ramp then worst_ramp := t.ramps.(f);
-            if t.arrival.(f) > !worst_arrival then
-              worst_arrival := t.arrival.(f))
-          nd.Circuit.fanin;
-        let cell = cell_exn t id in
-        let d, r =
-          memo_timing t cell ~input_ramp:!worst_ramp ~cload:t.loads.(id)
-        in
-        let a = !worst_arrival +. d in
-        t.input_ramp.(id) <- !worst_ramp;
-        if not (same_bits d t.delays.(id)) then begin
-          t.delays.(id) <- d;
-          delay_changed.(id) <- true;
-          t.brackets.(id) <- Analysis.ws_brackets ~samples:t.samples ~delay:d
-        end;
-        let out_changed =
-          not (same_bits r t.ramps.(id) && same_bits a t.arrival.(id))
-        in
-        t.ramps.(id) <- r;
-        t.arrival.(id) <- a;
-        if out_changed then
-          Array.iter
-            (fun reader -> sta_dirty.(reader) <- true)
-            nd.Circuit.fanout
-        else t.stats.sta_cutoff <- t.stats.sta_cutoff + 1
-      end
-    done;
-    t.critical_delay <-
-      Array.fold_left
-        (fun acc po -> Float.max acc t.arrival.(po))
-        0. c.Circuit.outputs;
     (* 4. WS tables over the fanin cone of the delay changes, descending
        ids (reverse topological): a gate's table reads only its
        successors' delays and tables, so it is stale iff some successor
        has a changed delay or a changed table. Primary-output gates'
-       tables are constant. Cutoff: a recomputed table that is
-       bit-identical does not dirty its drivers. *)
+       tables are constant. A changed delay refreshes the gate's
+       brackets before any driver (a smaller id) reads them. Cutoff: a
+       recomputed table that is bit-identical does not dirty its
+       drivers. *)
     for id = n - 1 downto 0 do
-      if (not (Circuit.is_input c id)) && t.po_pos.(id) < 0 then begin
+      if Incr_sta.delay_changed sta id then
+        t.brackets.(id) <-
+          Analysis.ws_brackets ~samples:t.samples ~delay:(Incr_sta.delay sta id);
+      (* [ws_ctx] is [Some] exactly on the non-input, non-PO gates *)
+      match t.ws_ctx.(id) with
+      | None -> ()
+      | Some ctx ->
         let nd = Circuit.node c id in
         let stale = ref false in
         Array.iter
-          (fun s -> if delay_changed.(s) || table_changed.(s) then stale := true)
+          (fun s ->
+            if Incr_sta.delay_changed sta s || table_changed.(s) then
+              stale := true)
           nd.Circuit.fanout;
         if !stale then begin
           t.stats.tables_recomputed <- t.stats.tables_recomputed + 1;
+          let succs = Analysis.ws_ctx_succs ctx in
+          let brackets = Array.map (fun s -> t.brackets.(s)) succs in
           let tbl =
-            match t.ws_ctx.(id) with
-            | Some ctx ->
-              let succs = Analysis.ws_ctx_succs ctx in
-              let brackets = Array.map (fun s -> t.brackets.(s)) succs in
-              Analysis.ws_table_ctx ctx ~samples:t.samples ~n_pos:t.n_pos
-                ~brackets ~tables:t.tables c id
-            | None ->
-              Analysis.ws_table t.config t.masking ~samples:t.samples
-                ~po_pos:t.po_pos ~delays:t.delays ~tables:t.tables c id
+            Analysis.ws_table_ctx ctx ~samples:t.samples ~n_pos:t.n_pos
+              ~brackets ~tables:t.tables c id
           in
           if same_matrix tbl t.tables.(id) then
             t.stats.tables_cutoff <- t.stats.tables_cutoff + 1
           else begin
             t.tables.(id) <- tbl;
-            table_changed.(id) <- true;
-            u_dirty.(id) <- true
+            table_changed.(id) <- true
           end
         end
-      end
     done;
     (* 5. per-gate unreliability (and switching energy) wherever the
        cell, the node load, or the WS table actually changed *)
     for id = 0 to n - 1 do
-      if u_dirty.(id) && not (Circuit.is_input c id) then begin
+      let moved = cell_changed.(id) || Incr_sta.load_changed sta id in
+      if (moved || table_changed.(id)) && not (Circuit.is_input c id) then begin
         t.stats.gates_recomputed <- t.stats.gates_recomputed + 1;
-        if glitch_dirty.(id) then begin
+        if moved then begin
           (* only a cell or load change moves the generated glitch
              widths and the switching energy; a table-only change
              reuses the cached pair *)
-          let cell = cell_exn t id in
-          let node_cap = t.loads.(id) +. Library.output_cap t.lib cell in
+          let cell = Incr_sta.cell sta id in
+          let load = Incr_sta.load sta id in
+          let node_cap = load +. Library.output_cap t.lib cell in
           let wl, wh = memo_glitch t cell ~node_cap in
           t.glitch_low.(id) <- wl;
           t.glitch_high.(id) <- wh;
-          t.dyn_energy.(id) <-
-            Library.switching_energy t.lib cell ~cload:t.loads.(id)
+          t.dyn_energy.(id) <- Library.switching_energy t.lib cell ~cload:load
         end;
         let wi, wij, u =
           gate_unrel t id ~w_low:t.glitch_low.(id) ~w_high:t.glitch_high.(id)
@@ -661,17 +537,17 @@ let sync t asg =
     invalid_arg "Incr.sync: assignment is for a different circuit";
   let diffs = ref [] in
   for id = Circuit.node_count t.circuit - 1 downto 0 do
-    match t.cells.(id) with
-    | None -> ()
-    | Some cur ->
+    if not (Circuit.is_input t.circuit id) then begin
       let want = Assignment.get asg id in
-      if not (Cell_params.equal cur want) then diffs := (id, want) :: !diffs
+      if not (Cell_params.equal (Incr_sta.cell t.sta id) want) then
+        diffs := (id, want) :: !diffs
+    end
   done;
   update t !diffs
 
-let cell t id = cell_exn t id
+let cell t id = Incr_sta.cell t.sta id
 let unreliability t id = t.unreliability.(id)
-let critical_delay t = t.critical_delay
+let critical_delay t = Incr_sta.critical_delay t.sta
 
 let total t =
   let r = refold t in
@@ -692,64 +568,35 @@ let running_total t = t.kahan_sum
    default clock (1.2 x critical delay), as Cost.measure invokes it:
    the fold visits gates in id order with the same operation tree. *)
 let energy t =
-  let clock = 1.2 *. t.critical_delay in
+  let clock = 1.2 *. critical_delay t in
   let acc = ref 0. in
-  Array.iteri
-    (fun id cell ->
-      match cell with
-      | None -> ()
-      | Some _ ->
-        let leak = t.leak_power.(id) *. clock in
-        acc := !acc +. (0.2 *. t.dyn_energy.(id)) +. leak)
-    t.cells;
+  for id = 0 to Circuit.node_count t.circuit - 1 do
+    if not (Circuit.is_input t.circuit id) then begin
+      let leak = t.leak_power.(id) *. clock in
+      acc := !acc +. (0.2 *. t.dyn_energy.(id)) +. leak
+    end
+  done;
   !acc
 
 (* Exactly Assignment.total_area's fold. *)
 let area t =
   let acc = ref 0. in
-  Array.iteri
-    (fun id cell ->
-      match cell with None -> () | Some _ -> acc := !acc +. t.cell_area.(id))
-    t.cells;
+  for id = 0 to Circuit.node_count t.circuit - 1 do
+    if not (Circuit.is_input t.circuit id) then
+      acc := !acc +. t.cell_area.(id)
+  done;
   !acc
 
 let metrics t =
   {
     m_unreliability = total t;
-    m_delay = t.critical_delay;
+    m_delay = critical_delay t;
     m_energy = energy t;
     m_area = area t;
   }
 
-let assignment = build_assignment
-
-let timing t =
-  let c = t.circuit in
-  let n = Circuit.node_count c in
-  (* required/slack are not maintained incrementally (no consumer in
-     the optimizer's inner loop); rebuild them with Timing.analyze's
-     backward sweep from the maintained delays/arrivals *)
-  let required = Array.make n Float.max_float in
-  Array.iter (fun po -> required.(po) <- t.critical_delay) c.Circuit.outputs;
-  for id = n - 1 downto 0 do
-    let nd = c.Circuit.nodes.(id) in
-    Array.iter
-      (fun reader ->
-        let r = required.(reader) -. t.delays.(reader) in
-        if r < required.(id) then required.(id) <- r)
-      nd.Circuit.fanout
-  done;
-  let slack = Array.init n (fun id -> required.(id) -. t.arrival.(id)) in
-  {
-    Timing.loads = Array.copy t.loads;
-    input_ramp = Array.copy t.input_ramp;
-    delays = Array.copy t.delays;
-    ramps = Array.copy t.ramps;
-    arrival = Array.copy t.arrival;
-    required;
-    slack;
-    critical_delay = t.critical_delay;
-  }
+let assignment t = Incr_sta.assignment t.sta
+let timing t = Incr_sta.timing t.sta
 
 let snapshot t =
   {

@@ -10,14 +10,15 @@
     - {e forward STA}: the fanout cone of the changed gates and nets, in
       topological (ascending-id) order, with {e early cutoff} — a gate
       whose recomputed output ramp and arrival time are bit-for-bit
-      unchanged does not dirty its readers;
+      unchanged does not dirty its readers. These two layers are a
+      {!Ser_sta.Incr_sta} handle the engine owns;
     - {e WS tables}: the fan-in cone of the gates whose {e delay}
       changed, in reverse-topological order, again with bitwise cutoff;
     - {e per-gate unreliability / switching energy}: only where the
       cell, the node load, or the WS table actually changed.
 
     Every recomputation replays the corresponding from-scratch kernel
-    ({!Ser_sta.Timing.analyze}'s per-gate body,
+    ({!Ser_sta.Timing.eval_gate},
     {!Aserta.Analysis.ws_table}, {!Aserta.Analysis.gate_unreliability})
     with bit-identical inputs, and the aggregate metrics are exact
     sequential re-folds in the same order as the from-scratch code, so
@@ -35,10 +36,9 @@
 
 module Memo : sig
   type t
-  (** Memo table in front of the electrical characterisations, keyed by
-      (cell variant, input slope, load) for delay/output-ramp pairs and
-      (cell variant, node capacitance, charge) for generated glitch
-      widths. Thread-safe; shared by an engine and all its forks (and
+  (** Memo table in front of the generated-glitch-width
+      characterisations, keyed by (cell variant, node capacitance,
+      charge). Thread-safe; shared by an engine and all its forks (and
       shareable across engines over the same library). *)
 
   type stats = { hits : int; misses : int }

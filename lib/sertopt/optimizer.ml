@@ -4,6 +4,7 @@ module Library = Ser_cell.Library
 module Cell_params = Ser_device.Cell_params
 module Assignment = Ser_sta.Assignment
 module Timing = Ser_sta.Timing
+module Incr_sta = Ser_sta.Incr_sta
 module Paths = Ser_sta.Paths
 module Matrix = Ser_linalg.Matrix
 module Analysis = Aserta.Analysis
@@ -18,6 +19,8 @@ let m_tier_ranks = Obs.Metrics.counter "sertopt.tier_rank_evals"
 let m_exact_saved = Obs.Metrics.counter "sertopt.exact_evals_saved"
 let m_odc_moves = Obs.Metrics.counter "sertopt.odc_moves"
 let m_odc_accepts = Obs.Metrics.counter "sertopt.odc_accepts"
+let m_sizing_trials = Obs.Metrics.counter "sizing.trials"
+let m_sizing_evals = Obs.Metrics.counter "sizing.gate_evals"
 
 type eval_mode = Full_recompute | Incremental
 
@@ -177,9 +180,12 @@ let sample_menu ~cap xs =
     List.init cap (fun i -> arr.(i * len / cap))
   end
 
-(* Greedy critical-path upsizing: the baseline "speed optimization". *)
+(* Greedy critical-path upsizing: the baseline "speed optimization".
+   Each trial upsize is one cone propagation on the incremental STA
+   handle, kept or reverted on its critical delay. *)
 let size_for_speed ?(env = Timing.default_env) ?(max_size = 8.) lib c =
-  let asg = Assignment.uniform lib c in
+  Obs.Trace.with_span "sertopt.size_for_speed" @@ fun () ->
+  let h = Incr_sta.create ~env lib (Assignment.uniform lib c) in
   let sizes =
     List.filter (fun s -> s <= max_size +. 1e-9) (Library.axes lib).Library.sizes
     |> List.sort compare
@@ -187,33 +193,37 @@ let size_for_speed ?(env = Timing.default_env) ?(max_size = 8.) lib c =
   let next_size s = List.find_opt (fun x -> x > s +. 1e-9) sizes in
   (* one gate at a time: upsizing the whole path at once mostly feeds
      itself through the increased pin loads *)
+  let trials = ref 0 in
   let continue = ref true in
   let iter = ref 0 in
   while !continue && !iter < 60 do
     incr iter;
-    let timing = Timing.analyze ~env lib asg in
-    let best = ref timing.Timing.critical_delay in
-    let path = Timing.critical_path asg timing in
+    let best = ref (Incr_sta.critical_delay h) in
+    let path = Incr_sta.critical_path h in
     let improved = ref false in
     Array.iter
       (fun id ->
         if not (Circuit.is_input c id) then begin
-          let cell = Assignment.get asg id in
+          let cell = Incr_sta.cell h id in
           match next_size cell.Cell_params.size with
           | Some s ->
-            Assignment.set asg id { cell with Cell_params.size = s };
-            let after = (Timing.analyze ~env lib asg).Timing.critical_delay in
+            incr trials;
+            Incr_sta.try_cell h id { cell with Cell_params.size = s };
+            let after = Incr_sta.critical_delay h in
             if after < !best -. 1e-9 then begin
+              Incr_sta.commit h;
               best := after;
               improved := true
             end
-            else Assignment.set asg id cell
+            else Incr_sta.revert h
           | None -> ()
         end)
       path;
     if not !improved then continue := false
   done;
-  asg
+  Obs.Metrics.add m_sizing_trials !trials;
+  Obs.Metrics.add m_sizing_evals (Incr_sta.gate_evals h);
+  Incr_sta.assignment h
 
 let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   let c = Assignment.circuit baseline in

@@ -152,7 +152,19 @@ val size_for_speed :
   Ser_sta.Assignment.t
 (** Greedy critical-path upsizing at the nominal corner — the stand-in
     for the paper's Design-Compiler speed optimization that produces
-    the baseline circuits. *)
+    the baseline circuits. Up to 60 rounds; each round walks the
+    current critical path PI to PO and tries the next size up on every
+    gate, keeping a trial iff the critical delay drops by more than
+    1e-9 ps.
+
+    Each trial is one cone propagation on a {!Ser_sta.Incr_sta} handle
+    followed by a commit or revert, so only one full STA runs. The
+    result is bit-identical to re-running [Timing.analyze] after every
+    trial (the loop it replaced, kept as the oracle in the tests): the
+    same cell on every gate, hence the same critical delay to the bit.
+    Traced as span [sertopt.size_for_speed]; counters [sizing.trials]
+    (trial upsizes) and [sizing.gate_evals] (per-gate STA evaluations
+    by the trials' propagations). *)
 
 val optimize :
   ?config:config ->

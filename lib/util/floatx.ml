@@ -6,6 +6,17 @@ let lerp a b t = a +. ((b -. a) *. t)
 
 let inv_lerp a b x = if a = b then 0. else (x -. a) /. (b -. a)
 
+(* The early-cutoff comparison of the incremental engines. [true]
+   guarantees the two values are bit-identical, so they are
+   interchangeable in every downstream computation; [false] merely
+   forces a recompute, which replays the same kernels and lands on the
+   same bits — correct either way. Plain float [=] alone is not a valid
+   [true]: it identifies 0. and -0. (distinguished here by their
+   reciprocals, with no allocation, unlike [Int64.bits_of_float] which
+   boxes in bytecode/dev builds). NaNs compare unequal and simply forgo
+   the cutoff. *)
+let same_bits a b = a = b && (a <> 0. || 1. /. a = 1. /. b)
+
 let is_close ?(rtol = 1e-9) ?(atol = 1e-12) a b =
   Float.abs (a -. b) <= atol +. (rtol *. Float.max (Float.abs a) (Float.abs b))
 

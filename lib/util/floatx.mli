@@ -12,6 +12,11 @@ val inv_lerp : float -> float -> float -> float
 (** [inv_lerp a b x] is the parameter [t] such that [lerp a b t = x].
     Returns [0.] when [a = b]. *)
 
+val same_bits : float -> float -> bool
+(** [same_bits a b] implies [a] and [b] have identical bit patterns
+    ([0.] and [-0.] differ). [false] on any NaN, so a caller using it as
+    an early-cutoff test merely recomputes. Allocation-free. *)
+
 val is_close : ?rtol:float -> ?atol:float -> float -> float -> bool
 (** [is_close a b] holds when [|a - b| <= atol + rtol * max |a| |b|].
     Defaults: [rtol = 1e-9], [atol = 1e-12]. *)

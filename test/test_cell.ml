@@ -119,6 +119,42 @@ let test_backends_correlate () =
   let r = Ser_linalg.Stats.spearman wa wt in
   Alcotest.(check bool) (Printf.sprintf "rank correlation %.2f" r) true (r > 0.9)
 
+(* The fused kernel is the pair of single lookups, bit for bit, on and
+   off the characterisation grid. *)
+let check_fused lib cells =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun input_ramp ->
+          List.iter
+            (fun cload ->
+              let d, r = L.delay_and_ramp lib p ~input_ramp ~cload in
+              if
+                bits d <> bits (L.delay lib p ~input_ramp ~cload)
+                || bits r <> bits (L.output_ramp lib p ~input_ramp ~cload)
+              then
+                Alcotest.failf "%s at ramp %g load %g" (P.to_string p)
+                  input_ramp cload)
+            [ 0.1; 0.8; 2.; 3.7; 12.; 30.; 90. ])
+        [ 1.; 2.; 10.; 17.5; 80.; 160.; 400. ])
+    cells
+
+let test_fused_analytic () =
+  let lib = L.create ~backend:L.Analytic () in
+  List.iter
+    (fun (kind, fanin) -> check_fused lib (L.variants lib kind fanin))
+    [ (Gate.Not, 1); (Gate.Nand, 2); (Gate.Nor, 3); (Gate.And, 2); (Gate.Xor, 2) ]
+
+let test_fused_transient () =
+  (* c17-sized cells only: each variant costs a grid of transients *)
+  let axes =
+    L.restrict ~sizes:[ 1.; 2. ] ~lengths:[ 70. ] ~vdds:[ 1.0 ] ~vths:[ 0.2 ]
+      L.default_axes
+  in
+  let lib = L.create ~backend:L.Transient ~axes () in
+  check_fused lib (L.variants lib Gate.Nand 2)
+
 let test_empty_axis_rejected () =
   try
     ignore (L.create ~axes:(L.restrict ~vdds:[] L.default_axes) ());
@@ -158,5 +194,9 @@ let () =
           Alcotest.test_case "analytic backend" `Quick test_analytic_backend_delay;
           Alcotest.test_case "transient tables" `Slow test_transient_backend_tables;
           Alcotest.test_case "backend agreement" `Slow test_backends_correlate;
+          Alcotest.test_case "fused delay/ramp, analytic" `Quick
+            test_fused_analytic;
+          Alcotest.test_case "fused delay/ramp, transient" `Quick
+            test_fused_transient;
         ] );
     ]

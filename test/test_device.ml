@@ -170,6 +170,56 @@ let test_drive_at () =
   let up = G.drive_at nominal_inv G.Pull_up ~vout:0.99 in
   Alcotest.(check bool) "pull-up symmetric logic" true (up < G.drive_at nominal_inv G.Pull_up ~vout:0.5)
 
+(* Delay and output ramp of the closed form, pinned to the bits the
+   original per-call stage walk produced, so that resolving the cell-only
+   terms once ([timing_model]) can never drift the STA: every downstream
+   result is promised bit-identical across that refactor. *)
+let timing_pins =
+  [
+    ("NOT1 x1.00 L70 V1.00 T0.20", 2., 0.3, 0x1.8624d7995f5f7p+2, 0x1.ff971b84c18e8p+2);
+    ("NOT1 x1.00 L70 V1.00 T0.20", 20., 2., 0x1.a8038947f5b9ep+4, 0x1.0b87f2f1e34dp+5);
+    ("NOT1 x1.00 L70 V1.00 T0.20", 160., 30., 0x1.43769d78fc3ccp+8, 0x1.c494d2ff04384p+8);
+    ("NAND2 x2.00 L100 V0.80 T0.30", 2., 0.3, 0x1.4ef244c72e66cp+3, 0x1.df981c1ff8528p+3);
+    ("NAND2 x2.00 L100 V0.80 T0.30", 20., 2., 0x1.20df43d04bb9ap+5, 0x1.8683f19f317bp+5);
+    ("NAND2 x2.00 L100 V0.80 T0.30", 160., 30., 0x1.a3544929c5f55p+8, 0x1.2efbbfa689e2fp+9);
+    ("NOR3 x4.00 L150 V1.20 T0.10", 2., 0.3, 0x1.25e2d7a1b0c3ap+3, 0x1.9de5d3e3fc1a5p+3);
+    ("NOR3 x4.00 L150 V1.20 T0.10", 20., 2., 0x1.963d88bb97971p+4, 0x1.fa9fe5032ffbfp+4);
+    ("NOR3 x4.00 L150 V1.20 T0.10", 160., 30., 0x1.fa646518de7e7p+7, 0x1.54275b1e22a2ap+8);
+    ("AND2 x8.00 L70 V1.00 T0.20", 2., 0.3, 0x1.43f6bcb096ef2p+3, 0x1.0cba851b4ea91p+1);
+    ("AND2 x8.00 L70 V1.00 T0.20", 20., 2., 0x1.09caa8c47f33dp+4, 0x1.51f2520ef26fcp+2);
+    ("AND2 x8.00 L70 V1.00 T0.20", 160., 30., 0x1.516ddca35e3d8p+6, 0x1.cd621ee2a61c8p+5);
+    ("XOR2 x1.00 L300 V1.20 T0.30", 2., 0.3, 0x1.35a12bd17244ep+7, 0x1.abd7f107e208ap+5);
+    ("XOR2 x1.00 L300 V1.20 T0.30", 20., 2., 0x1.efdec19e0d215p+7, 0x1.868bb8bc89e2ep+7);
+    ("XOR2 x1.00 L300 V1.20 T0.30", 160., 30., 0x1.b3a40c9cc43cdp+10, 0x1.3c55b24631185p+11);
+    ("BUF1 x2.00 L250 V0.80 T0.10", 2., 0.3, 0x1.1843b7dfcb601p+6, 0x1.f712ae35e60a7p+3);
+    ("BUF1 x2.00 L250 V0.80 T0.10", 20., 2., 0x1.9660df3aa7174p+6, 0x1.d7bb8fe36bccfp+5);
+    ("BUF1 x2.00 L250 V0.80 T0.10", 160., 30., 0x1.22e27bfcbee3ap+9, 0x1.819f85ed46bep+9);
+  ]
+
+let test_timing_pinned () =
+  let cell name =
+    let kind, fanin, size, length, vdd, vth =
+      Scanf.sscanf name "%[A-Z]%d x%f L%f V%f T%f" (fun k f s l v t ->
+          (Option.get (Gate.of_string k), f, s, l, v, t))
+    in
+    P.v ~size ~length ~vdd ~vth kind fanin
+  in
+  List.iter
+    (fun (name, input_ramp, cload, d, r) ->
+      let p = cell name in
+      let m = G.timing_model p in
+      let d', r' = G.eval_timing m ~input_ramp ~cload in
+      let at = Printf.sprintf "%s ramp %g load %g" name input_ramp cload in
+      Alcotest.(check int64) (at ^ " delay") (Int64.bits_of_float d)
+        (Int64.bits_of_float d');
+      Alcotest.(check int64) (at ^ " ramp") (Int64.bits_of_float r)
+        (Int64.bits_of_float r');
+      Alcotest.(check bool) (at ^ " projections") true
+        (Int64.bits_of_float (G.delay p ~input_ramp ~cload) = Int64.bits_of_float d
+        && Int64.bits_of_float (G.output_ramp p ~input_ramp ~cload)
+           = Int64.bits_of_float r))
+    timing_pins
+
 let () =
   Alcotest.run "ser_device"
     [
@@ -194,6 +244,7 @@ let () =
           Alcotest.test_case "input cap" `Quick test_input_cap_scaling;
           Alcotest.test_case "delay monotonicity" `Quick test_delay_monotonicity;
           Alcotest.test_case "output ramp" `Quick test_output_ramp;
+          Alcotest.test_case "timing bits pinned" `Quick test_timing_pinned;
           Alcotest.test_case "FO4 calibration" `Quick test_fo4_calibration;
           Alcotest.test_case "glitch vs charge" `Quick test_glitch_monotone_charge;
           Alcotest.test_case "glitch directions" `Quick test_glitch_directions;

@@ -220,6 +220,17 @@ let test_noop_and_validation () =
   let g = (non_inputs c).(0) in
   Incr.set_cell e g (Incr.cell e g);
   Alcotest.(check int) "no-op does not count" 0 (Incr.stats e).Incr.updates;
+  (* a batch applies in order: a gate changed and changed back is a
+     no-op too *)
+  let orig = Incr.cell e g in
+  let other =
+    Array.to_list (variants_of lib c g)
+    |> List.find (fun p -> not (Cell_params.equal p orig))
+  in
+  Incr.update e [ (g, other); (g, orig) ];
+  Alcotest.(check int) "change and change back does not count" 0
+    (Incr.stats e).Incr.updates;
+  check_matches_scratch ~what:"change and change back" lib masking asg e;
   Alcotest.check_raises "primary input rejected"
     (Invalid_argument "Incr.update: primary input") (fun () ->
       Incr.set_cell e c.Circuit.inputs.(0) (Incr.cell e g))

@@ -146,6 +146,73 @@ let test_size_for_speed () =
     (Printf.sprintf "speed opt helps (%.1f -> %.1f)" d_uniform d_sized)
     true (d_sized < d_uniform)
 
+(* The greedy sizing loop as it was before the incremental STA handle:
+   one full Timing.analyze per trial upsize. Kept here as the oracle
+   that Optimizer.size_for_speed must reproduce bit for bit. *)
+let size_for_speed_oracle ?(env = T.default_env) ?(max_size = 8.) lib c =
+  let asg = A.uniform lib c in
+  let sizes =
+    List.filter (fun s -> s <= max_size +. 1e-9) (L.axes lib).L.sizes
+    |> List.sort compare
+  in
+  let next_size s = List.find_opt (fun x -> x > s +. 1e-9) sizes in
+  let continue = ref true in
+  let iter = ref 0 in
+  while !continue && !iter < 60 do
+    incr iter;
+    let timing = T.analyze ~env lib asg in
+    let best = ref timing.T.critical_delay in
+    let path = T.critical_path asg timing in
+    let improved = ref false in
+    Array.iter
+      (fun id ->
+        if not (Circuit.is_input c id) then begin
+          let cell = A.get asg id in
+          match next_size cell.P.size with
+          | Some s ->
+            A.set asg id { cell with P.size = s };
+            let after = (T.analyze ~env lib asg).T.critical_delay in
+            if after < !best -. 1e-9 then begin
+              best := after;
+              improved := true
+            end
+            else A.set asg id cell
+          | None -> ()
+        end)
+      path;
+    if not !improved then continue := false
+  done;
+  asg
+
+let check_sizing_matches_oracle lib c =
+  let want = size_for_speed_oracle lib c in
+  let got = Opt.size_for_speed lib c in
+  let name = c.Circuit.name in
+  Array.iter
+    (fun (nd : Circuit.node) ->
+      if nd.Circuit.kind <> Gate.Input then
+        if not (P.equal (A.get want nd.Circuit.id) (A.get got nd.Circuit.id))
+        then
+          Alcotest.failf "%s: gate %s sized differently" name nd.Circuit.name)
+    c.Circuit.nodes;
+  let d asg = Int64.bits_of_float (T.analyze lib asg).T.critical_delay in
+  Alcotest.(check int64) (name ^ ": critical delay bits") (d want) (d got)
+
+let test_size_for_speed_oracle_c17 () =
+  check_sizing_matches_oracle (L.create ()) (Ser_circuits.Iscas.c17 ());
+  check_sizing_matches_oracle (lib_small ()) (Ser_circuits.Iscas.c17 ())
+
+let test_size_for_speed_oracle_profiles () =
+  let lib = L.create () in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun seed ->
+          check_sizing_matches_oracle lib
+            (Ser_circuits.Iscas.synthesize ~seed p))
+        [ 1; 2; 3 ])
+    Ser_circuits.Iscas.profiles
+
 let test_optimize_c432 () =
   let c = Ser_circuits.Iscas.load "c432" in
   let lib = lib_small () in
@@ -434,6 +501,10 @@ let () =
       ( "optimizer",
         [
           Alcotest.test_case "size_for_speed" `Quick test_size_for_speed;
+          Alcotest.test_case "size_for_speed = oracle on c17" `Quick
+            test_size_for_speed_oracle_c17;
+          Alcotest.test_case "size_for_speed = oracle on every profile" `Slow
+            test_size_for_speed_oracle_profiles;
           Alcotest.test_case "c432 improves" `Slow test_optimize_c432;
           Alcotest.test_case "deterministic" `Slow test_optimize_deterministic;
           Alcotest.test_case "pure nullspace no regression" `Slow test_optimize_pure_nullspace;

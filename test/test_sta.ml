@@ -230,6 +230,142 @@ let slack_nonnegative_prop =
       let t = T.analyze lib asg in
       Array.for_all (fun s -> s >= -1e-6) t.T.slack)
 
+(* ---------------- incremental handle ---------------- *)
+
+module Incr_sta = Ser_sta.Incr_sta
+module P = Ser_device.Cell_params
+
+let bits = Int64.bits_of_float
+let same_arr a b = Array.for_all2 (fun x y -> bits x = bits y) a b
+
+(* Bitwise: the handle's state against a from-scratch analysis of the
+   assignment it should hold. *)
+let handle_matches lib h asg =
+  let c = A.circuit asg in
+  let want = T.analyze lib asg and got = Incr_sta.timing h in
+  same_arr want.T.loads got.T.loads
+  && same_arr want.T.input_ramp got.T.input_ramp
+  && same_arr want.T.delays got.T.delays
+  && same_arr want.T.ramps got.T.ramps
+  && same_arr want.T.arrival got.T.arrival
+  && bits want.T.critical_delay = bits (Incr_sta.critical_delay h)
+  && bits want.T.critical_delay = bits got.T.critical_delay
+  && Array.for_all
+       (fun (nd : Circuit.node) ->
+         nd.Circuit.kind = Gate.Input
+         || P.equal (A.get asg nd.Circuit.id) (Incr_sta.cell h nd.Circuit.id))
+       c.Circuit.nodes
+
+let random_move lib rng c =
+  let gates =
+    Array.of_list
+      (List.filter_map
+         (fun (nd : Circuit.node) ->
+           if nd.Circuit.kind = Gate.Input then None else Some nd)
+         (Array.to_list c.Circuit.nodes))
+  in
+  let nd = gates.(Ser_rng.Rng.int rng (Array.length gates)) in
+  let menu =
+    Array.of_list (L.variants lib nd.Circuit.kind (Array.length nd.Circuit.fanin))
+  in
+  (nd.Circuit.id, menu.(Ser_rng.Rng.int rng (Array.length menu)))
+
+(* Any interleaving of trials (single writes and batches), reverts and
+   commits leaves the handle bit-identical to Timing.analyze of the
+   assignment it should hold: the committed one plus the open trial. *)
+let handle_sequence_prop =
+  QCheck.Test.make ~count:25
+    ~name:"try_cell/revert/commit sequences = Timing.analyze"
+    QCheck.(triple (int_bound 10_000) (int_range 8 80) (int_range 1 25))
+    (fun (seed, n_gates, n_ops) ->
+      let profile =
+        {
+          Ser_circuits.Iscas.pr_name = "rnd";
+          pr_inputs = 3 + (seed mod 6);
+          pr_outputs = 1 + (seed mod 4);
+          pr_gates = n_gates;
+          pr_depth = 2 + (seed mod 7);
+          pr_xor_heavy = seed mod 5 = 0;
+        }
+      in
+      let c = Ser_circuits.Iscas.synthesize ~seed:(seed + 1) profile in
+      let lib = L.create () in
+      let h = Incr_sta.create lib (A.uniform lib c) in
+      let committed = ref (A.uniform lib c) in
+      let current = ref (A.copy !committed) in
+      let rng = Ser_rng.Rng.create seed in
+      let ok = ref (handle_matches lib h !current) in
+      for _ = 1 to n_ops do
+        (match Ser_rng.Rng.int rng 10 with
+        | 0 | 1 | 2 | 3 ->
+          let g, cell = random_move lib rng c in
+          A.set !current g cell;
+          Incr_sta.try_cell h g cell
+        | 4 | 5 ->
+          let batch = List.init 3 (fun _ -> random_move lib rng c) in
+          List.iter (fun (g, cell) -> A.set !current g cell) batch;
+          Incr_sta.try_cells h batch
+        | 6 | 7 ->
+          Incr_sta.revert h;
+          current := A.copy !committed
+        | _ ->
+          Incr_sta.commit h;
+          committed := A.copy !current);
+        if not (handle_matches lib h !current) then ok := false
+      done;
+      !ok)
+
+let test_handle_revert_and_fork () =
+  let c = Ser_circuits.Iscas.load "c432" in
+  let lib = L.create () in
+  let asg = A.uniform lib c in
+  let h = Incr_sta.create lib asg in
+  let rng = Ser_rng.Rng.create 5 in
+  let g, cell = random_move lib rng c in
+  Incr_sta.try_cell h g cell;
+  Alcotest.check_raises "no fork mid-trial"
+    (Invalid_argument "Incr_sta.fork: open trial") (fun () ->
+      ignore (Incr_sta.fork h));
+  Incr_sta.revert h;
+  Alcotest.(check bool) "revert restores" true (handle_matches lib h asg);
+  Alcotest.(check bool) "revert clears change flags" false
+    (Array.exists
+       (fun (nd : Circuit.node) -> Incr_sta.delay_changed h nd.Circuit.id)
+       c.Circuit.nodes);
+  let f = Incr_sta.fork h in
+  Incr_sta.try_cell f g cell;
+  Incr_sta.commit f;
+  Alcotest.(check bool) "parent untouched by fork" true
+    (handle_matches lib h asg);
+  let asg' = A.copy asg in
+  A.set asg' g cell;
+  Alcotest.(check bool) "fork matches scratch" true (handle_matches lib f asg');
+  Alcotest.(check bool) "delay of the changed gate flagged" true
+    (Incr_sta.delay_changed f g);
+  let input = c.Circuit.inputs.(0) in
+  Alcotest.check_raises "primary input rejected"
+    (Invalid_argument "Assignment.get: primary input has no cell") (fun () ->
+      Incr_sta.try_cell f input cell);
+  let other =
+    List.find
+      (fun (nd : Circuit.node) ->
+        nd.Circuit.kind <> Gate.Input
+        && (nd.Circuit.kind <> cell.P.kind
+           || Array.length nd.Circuit.fanin <> cell.P.fanin))
+      (Array.to_list c.Circuit.nodes)
+  in
+  Alcotest.check_raises "wrong cell rejected"
+    (Invalid_argument "Incr_sta.try_cells: cell does not match gate")
+    (fun () -> Incr_sta.try_cells f [ (g, cell); (other.Circuit.id, cell) ]);
+  Alcotest.(check bool) "rejected batch wrote nothing" true
+    (handle_matches lib f asg');
+  (* writes apply in list order: a gate changed and changed back ends
+     where it started *)
+  let back = A.get asg g in
+  Incr_sta.try_cells f [ (g, back); (g, cell) ];
+  Alcotest.(check bool) "batch writes apply in order" true
+    (handle_matches lib f asg')
+
 let test_topology_matrix () =
   let c = Ser_circuits.Iscas.load "c432" in
   let lib = L.create () in
@@ -277,5 +413,11 @@ let () =
           QCheck_alcotest.to_alcotest arrival_edge_prop;
           QCheck_alcotest.to_alcotest slack_nonnegative_prop;
           Alcotest.test_case "topology matrix" `Quick test_topology_matrix;
+        ] );
+      ( "incr_sta",
+        [
+          Alcotest.test_case "revert, fork and validation" `Quick
+            test_handle_revert_and_fork;
+          QCheck_alcotest.to_alcotest handle_sequence_prop;
         ] );
     ]
