@@ -132,6 +132,27 @@ let micro () =
 (* parallel runtime: sequential vs pool, with machine-readable output   *)
 (* ------------------------------------------------------------------ *)
 
+(* The pool's par.* counters and per-slot busy gauges, read straight
+   from the obs registry (slot gauges are registered densely from 0). *)
+let pool_json () =
+  let module M = Ser_obs.Obs.Metrics in
+  let count name = Ser_util.Json.int (M.value (M.counter name)) in
+  let rec busy slot =
+    match M.find_gauge (Printf.sprintf "par.busy_s.slot%d" slot) with
+    | Some g -> Ser_util.Json.Num (M.gauge_value g) :: busy (slot + 1)
+    | None -> []
+  in
+  Ser_util.Json.(
+    Obj
+      [
+        ("jobs", int (Ser_par.Par.jobs ()));
+        ("sections", count "par.sections");
+        ("sequential_sections", count "par.sequential_sections");
+        ("chunks", count "par.chunks");
+        ("stolen_chunks", count "par.stolen_chunks");
+        ("busy_s", List (busy 0));
+      ])
+
 let par_bench () =
   section "Parallel runtime (lib/par): sequential vs pool";
   let jobs = Ser_par.Par.jobs () in
@@ -175,14 +196,14 @@ let par_bench () =
      [sequential_sections = sections] (every sequential-phase section
      inflated the count) even while the pool was demonstrably stealing
      chunks at -j > 1. *)
-  Ser_par.Par.reset_stats ();
+  Ser_obs.Obs.Metrics.reset ~prefix:"par." ();
   Ser_par.Par.set_jobs 1;
   let seq_runs = List.map (fun (name, f) -> (name, time f)) cases in
-  let seq_pool = Ser_par.Par.stats_json () in
-  Ser_par.Par.reset_stats ();
+  let seq_pool = pool_json () in
+  Ser_obs.Obs.Metrics.reset ~prefix:"par." ();
   Ser_par.Par.set_jobs jobs;
   let par_runs = List.map (fun (name, f) -> (name, time f)) cases in
-  let par_pool = Ser_par.Par.stats_json () in
+  let par_pool = pool_json () in
   let rows =
     List.map2
       (fun (name, (seq_v, seq_s)) (_, (par_v, par_s)) ->
@@ -264,7 +285,7 @@ let sertopt_bench ?(smoke = false) () =
     if smoke then [ ("c432", 300, 4, 4) ]
     else [ ("c880", 400, 8, 10); ("c1355", 400, 8, 10); ("c2670", 400, 8, 24) ]
   in
-  Ser_par.Par.reset_stats ();
+  Ser_obs.Obs.Metrics.reset ~prefix:"par." ();
   let rows =
     List.map
       (fun (name, vectors, max_evals, greedy_gates) ->
@@ -438,7 +459,7 @@ let sertopt_bench ?(smoke = false) () =
           ("recommended_domains", int (Ser_par.Par.recommended_jobs ()));
           ("cases", List rows);
           ("tiered", tiered);
-          ("pool", Ser_par.Par.stats_json ());
+          ("pool", pool_json ());
           ("metrics", Ser_obs.Obs.Metrics.snapshot ());
         ])
   in

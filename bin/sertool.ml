@@ -44,11 +44,27 @@ let apply_obs (trace, metrics, sample) =
 
 (* one-line pool summary on stderr after a heavy command, so timing
    investigations can see how the work was spread without the output
-   format changing *)
+   format changing; read from the par.* metrics (slot gauges are
+   registered densely from 0) *)
 let report_pool () =
-  if Ser_par.Par.jobs () > 1 then
-    prerr_endline
-      ("sertool: " ^ Ser_util.Diag.to_string (Ser_par.Par.stats_diag ()))
+  let jobs = Ser_par.Par.jobs () in
+  if jobs > 1 then begin
+    let count name = Obs.Metrics.value (Obs.Metrics.counter name) in
+    let rec busy slot =
+      match
+        Obs.Metrics.find_gauge (Printf.sprintf "par.busy_s.slot%d" slot)
+      with
+      | Some g ->
+        Printf.sprintf "%.3f" (Obs.Metrics.gauge_value g) :: busy (slot + 1)
+      | None -> []
+    in
+    Printf.eprintf
+      "sertool: [info] par: pool executed %d parallel sections (%d chunks, \
+       %d stolen) on %d jobs (busy_s=%s)\n%!"
+      (count "par.sections") (count "par.chunks") (count "par.stolen_chunks")
+      jobs
+      (String.concat "," (busy 0))
+  end
 
 (* user-facing failures (bad file, unknown name, located diagnostics)
    become a one-line stderr message and a classed exit code instead of

@@ -46,19 +46,6 @@ type masking = {
   path_probs : Probs.path_probs;
 }
 
-type t = {
-  config : config;
-  circuit : Circuit.t;
-  masking : masking;
-  timing : Timing.t;
-  gen_width : float array;
-  expected_width : float array array;
-  unreliability : float array;
-  total : float;
-  samples : float array;
-  tables : float array array array;
-}
-
 let sample_widths config =
   if config.n_samples < 2 then invalid_arg "Analysis.sample_widths: need >= 2";
   (* geometric grid from a few ps up to the "very wide" sample *)
@@ -123,116 +110,14 @@ let output_positions (c : Circuit.t) =
   Array.iteri (fun pos id -> po_pos.(id) <- pos) c.outputs;
   po_pos
 
-(* The WS table of one gate (Section 3.2). Reads the [delays] of the
-   gate's successors and their already-computed rows in [tables] — and
-   nothing else that depends on the cell assignment — so it is the
-   shared kernel of both the from-scratch pass below and the
-   incremental engine (lib/incr): recomputing a gate through this one
-   function with bit-identical inputs gives bit-identical output. *)
-let ws_table config masking ~samples:ws ~po_pos ~delays ~tables
-    (c : Circuit.t) id =
-  let n_pos = Array.length c.outputs in
-  let n_samples = Array.length ws in
-  let p = masking.path_probs.Probs.p in
-  let t = Array.make_matrix n_pos n_samples 0. in
-  if po_pos.(id) >= 0 then begin
-    (* step (ii): a primary-output gate passes glitches straight to
-       its own latch and, per the paper, to no other output *)
-    let row = t.(po_pos.(id)) in
-    Array.blit ws 0 row 0 n_samples
-  end
-  else begin
-    (* step (iii): blend successors' expected widths with pi_isj.
-       The Eq-1 attenuation and the interpolation bracket of the
-       attenuated width in the sample grid depend only on the
-       successor and the sample, so they are hoisted out of the
-       per-output loop (the hot loop of SERTOPT's inner cost). *)
-    let succs = Array.of_list (successors c id) in
-    let n_succ = Array.length succs in
-    let sens =
-      Array.map
-        (fun s ->
-          Probs.sensitization_to_driver c ~probs:masking.probs ~gate:s
-            ~driver:id)
-        succs
-    in
-    (* per successor and sample: interpolation bracket of the
-       attenuated width, or -1 when fully attenuated *)
-    let lo = Array.make_matrix n_succ n_samples (-1) in
-    let fr = Array.make_matrix n_succ n_samples 0. in
-    for si = 0 to n_succ - 1 do
-      let ds = delays.(succs.(si)) in
-      for k = 0 to n_samples - 1 do
-        let wo = Glitch.propagate ~delay:ds ~width:ws.(k) in
-        if wo > 0. then begin
-          let b = Ser_util.Floatx.binary_search_bracket ws wo in
-          let woc =
-            Ser_util.Floatx.clamp ~lo:ws.(0) ~hi:ws.(n_samples - 1) wo
-          in
-          lo.(si).(k) <- b;
-          fr.(si).(k) <- Ser_util.Floatx.inv_lerp ws.(b) ws.(b + 1) woc
-        end
-      done
-    done;
-    for j = 0 to n_pos - 1 do
-      let pij = p.(id).(j) in
-      if pij > 0. then begin
-        let denom =
-          match config.split with
-          | Naive -> 1.
-          | Normalized ->
-            let acc = ref 0. in
-            for si = 0 to n_succ - 1 do
-              acc := !acc +. (sens.(si) *. p.(succs.(si)).(j))
-            done;
-            !acc
-        in
-        if denom > 0. then begin
-          let row = t.(j) in
-          for si = 0 to n_succ - 1 do
-            let s = succs.(si) in
-            let psj = p.(s).(j) in
-            let weight =
-              match config.split with
-              | Normalized -> sens.(si) *. pij /. denom
-              | Naive -> sens.(si) *. psj
-            in
-            if weight > 0. && psj > 0. then begin
-              let s_row = tables.(s).(j) in
-              let lo_s = lo.(si) and fr_s = fr.(si) in
-              for k = 0 to n_samples - 1 do
-                let b = Array.unsafe_get lo_s k in
-                if b >= 0 then begin
-                  let y0 = Array.unsafe_get s_row b in
-                  let y1 = Array.unsafe_get s_row (b + 1) in
-                  let v = y0 +. (Array.unsafe_get fr_s k *. (y1 -. y0)) in
-                  Array.unsafe_set row k (Array.unsafe_get row k +. (weight *. v))
-                end
-              done
-            end
-          done
-        end
-      end
-    done
-  end;
-  t
-
-(* Hoisted form of [ws_table] for repeated re-evaluation of the same
-   gate (the incremental engine): everything that does not depend on
-   the cell assignment — the unique successors, their sensitizations,
-   and the Eq-2 blend weights per (output, successor) — is computed
-   once with exactly the expressions of [ws_table], so replaying the
-   remaining delay-dependent part ([ws_brackets] + [ws_table_ctx])
-   reproduces [ws_table]'s matrix bit for bit. *)
+(* The assignment-independent part of one gate's WS table (Section
+   3.2, step (iii)): its unique successors and, per output, the Eq-2
+   blend weights of the successors that contribute. *)
 type ws_ctx = {
   ws_succs : int array;
   ws_pairs : (float * int) array array;
       (* per output j: the (weight, si) contributions with
          weight > 0 and P_sj > 0, in ascending si order *)
-  ws_zero : float array;
-      (* one shared all-zero row for the outputs with no contributions;
-         rows are never mutated after publication, so aliasing it across
-         matrices is safe and saves the bulk of the allocations *)
 }
 
 let make_ws_ctx config masking (c : Circuit.t) id =
@@ -277,18 +162,63 @@ let make_ws_ctx config masking (c : Circuit.t) id =
           end
         end)
   in
-  { ws_succs = succs; ws_pairs = pairs; ws_zero = Array.make config.n_samples 0. }
+  { ws_succs = succs; ws_pairs = pairs }
 
-let ws_ctx_succs ctx = ctx.ws_succs
-let ws_ctx_live ctx j = Array.length ctx.ws_pairs.(j) > 0
-let ws_ctx_zero_row ctx = ctx.ws_zero
+type context = {
+  grid : float array;
+  po_pos : int array;
+  ws_ctx : ws_ctx option array;
+  levels : int array array;
+  zero_row : float array;
+}
+
+let context config masking (c : Circuit.t) =
+  let n = Circuit.node_count c in
+  let po_pos = output_positions c in
+  let ws_ctx = Array.make n None in
+  Ser_par.Par.parallel_for ~n (fun id ->
+      if (not (Circuit.is_input c id)) && po_pos.(id) < 0 then
+        ws_ctx.(id) <- Some (make_ws_ctx config masking c id));
+  (* The WS table of a gate reads only the tables of its successors
+     (and nothing at all for a primary-output gate), so the gates are
+     scheduled in reverse-topological {e dependency levels}: level 0
+     holds the gates whose table reads no other (primary-output gates
+     and fan-out-free sinks), level [l+1] the gates all of whose
+     successors sit at level <= [l]. *)
+  let level = Array.make n (-1) in
+  let max_level = ref 0 in
+  for id = n - 1 downto 0 do
+    if not (Circuit.is_input c id) then begin
+      let l =
+        match ws_ctx.(id) with
+        | None -> 0
+        | Some ctx ->
+          Array.fold_left (fun acc s -> max acc (level.(s) + 1)) 0 ctx.ws_succs
+      in
+      level.(id) <- l;
+      if l > !max_level then max_level := l
+    end
+  done;
+  let by_level = Array.make (!max_level + 1) [] in
+  for id = n - 1 downto 0 do
+    if level.(id) >= 0 then by_level.(level.(id)) <- id :: by_level.(level.(id))
+  done;
+  {
+    grid = sample_widths config;
+    po_pos;
+    ws_ctx;
+    levels = Array.map Array.of_list by_level;
+    zero_row = Array.make config.n_samples 0.;
+  }
+
+let no_brackets = ([||], [||])
 
 (* The Eq-1 attenuation brackets of the sample grid through one
    successor delay: for each sample width, the interpolation bracket of
    the attenuated width (or -1 when fully attenuated) and its fraction.
-   Depends only on [delay] and the grid, so the incremental engine
-   memoises it per delay value. *)
-let ws_brackets ~samples:ws ~delay =
+   Depends only on [delay] and the grid. *)
+let ws_brackets cx ~delay =
+  let ws = cx.grid in
   let n_samples = Array.length ws in
   let lo = Array.make n_samples (-1) in
   let fr = Array.make n_samples 0. in
@@ -303,62 +233,78 @@ let ws_brackets ~samples:ws ~delay =
   done;
   (lo, fr)
 
-(* [ws_table] with the context and brackets precomputed; only valid for
-   a non-input, non-primary-output gate. [brackets.(si)] must be
-   [ws_brackets ~samples ~delay:delays.(ws_succs.(si))]. *)
-let ws_table_ctx ctx ~samples:ws ~n_pos ~brackets ~tables _c id =
-  ignore id;
-  let n_samples = Array.length ws in
-  let zero =
-    if Array.length ctx.ws_zero = n_samples then ctx.ws_zero
-    else Array.make n_samples 0.
-  in
-  let t =
-    Array.init n_pos (fun j ->
-        if Array.length ctx.ws_pairs.(j) = 0 then zero
-        else Array.make n_samples 0.)
-  in
-  for j = 0 to n_pos - 1 do
-    let pairs = ctx.ws_pairs.(j) in
-    if Array.length pairs > 0 then begin
-      let row = t.(j) in
-      Array.iter
-        (fun (weight, si) ->
-          let s = ctx.ws_succs.(si) in
-          let s_row = tables.(s).(j) in
-          let lo_s, fr_s = brackets.(si) in
-          for k = 0 to n_samples - 1 do
-            let b = Array.unsafe_get lo_s k in
-            if b >= 0 then begin
-              let y0 = Array.unsafe_get s_row b in
-              let y1 = Array.unsafe_get s_row (b + 1) in
-              let v = y0 +. (Array.unsafe_get fr_s k *. (y1 -. y0)) in
-              Array.unsafe_set row k (Array.unsafe_get row k +. (weight *. v))
-            end
-          done)
-        pairs
-    end
-  done;
-  t
+(* Step (iii): blend the successors' expected widths with pi_isj. Rows
+   with no contribution alias the context's shared zero row; rows are
+   never mutated after publication, so the sharing is safe. *)
+let ws_table cx ctx ~brackets ~tables =
+  let n_samples = Array.length cx.grid in
+  Array.mapi
+    (fun j pairs ->
+      if Array.length pairs = 0 then cx.zero_row
+      else begin
+        let row = Array.make n_samples 0. in
+        Array.iter
+          (fun (weight, si) ->
+            let s = ctx.ws_succs.(si) in
+            let s_row = tables.(s).(j) in
+            let lo_s, fr_s = brackets.(s) in
+            for k = 0 to n_samples - 1 do
+              let b = Array.unsafe_get lo_s k in
+              if b >= 0 then begin
+                let y0 = Array.unsafe_get s_row b in
+                let y1 = Array.unsafe_get s_row (b + 1) in
+                let v = y0 +. (Array.unsafe_get fr_s k *. (y1 -. y0)) in
+                Array.unsafe_set row k (Array.unsafe_get row k +. (weight *. v))
+              end
+            done)
+          pairs;
+        row
+      end)
+    ctx.ws_pairs
+
+(* Step (ii): a primary-output gate passes glitches straight to its own
+   latch and, per the paper, to no other output. *)
+let po_table cx ~n_pos pos =
+  Array.init n_pos (fun j ->
+      if j = pos then Array.copy cx.grid else cx.zero_row)
 
 (* Steps (i)/(iv) + Eqs 3-4 for one gate, given the two generated
-   glitch widths (strike with output low / high) and the gate area —
-   the electrical LUT lookups stay with the caller so the incremental
-   engine can put a memo table in front of them. Returns
-   (w_i, W_ij row, U_i). *)
-let gate_unreliability masking ~samples:ws ~po_pos ~tables ~n_pos ~w_low
-    ~w_high ~area id =
+   glitch widths (strike with output low / high) and the gate area.
+   The interpolation bracket of [w_i] on the grid is shared by every
+   output, so it is computed once; each output then costs one [lerp],
+   bit-identical to [Lut.interpolate_1d] per output. *)
+let gate_unreliability cx masking ~table ~w_low ~w_high ~area id =
   let p1 = masking.probs.(id) in
   let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
+  let ws = cx.grid in
+  let n_samples = Array.length ws in
+  let br = Ser_util.Floatx.binary_search_bracket ws wi in
+  let x = Ser_util.Floatx.clamp ~lo:ws.(0) ~hi:ws.(n_samples - 1) wi in
+  let fr = Ser_util.Floatx.inv_lerp ws.(br) ws.(br + 1) x in
+  let pos = cx.po_pos.(id) in
   let wij =
-    Array.init n_pos (fun j ->
-        if po_pos.(id) = j then wi
-        else if tables.(id) = [||] then 0.
-        else Lut.interpolate_1d ~xs:ws ~ys:tables.(id).(j) wi)
+    Array.mapi
+      (fun j row ->
+        if j = pos then wi else Ser_util.Floatx.lerp row.(br) row.(br + 1) fr)
+      table
   in
   (wi, wij, area *. Ser_util.Floatx.sum wij)
 
-let run_electrical config lib asg masking =
+type t = {
+  config : config;
+  circuit : Circuit.t;
+  masking : masking;
+  timing : Timing.t;
+  gen_width : float array;
+  expected_width : float array array;
+  unreliability : float array;
+  total : float;
+  samples : float array;
+  tables : float array array array;
+  context : context;
+}
+
+let electrical ?cx config lib asg masking =
   let c = Assignment.circuit asg in
   let n = Circuit.node_count c in
   let n_pos = Array.length c.outputs in
@@ -367,50 +313,32 @@ let run_electrical config lib asg masking =
     Obs.Trace.with_span "aserta.sta" (fun () ->
         Timing.analyze ~env:config.env lib asg)
   in
-  let ws = sample_widths config in
-  (* expected output width tables per gate: WS.(id).(po).(k) *)
+  (* expected output width tables per gate: WS.(id).(po).(k). Gates
+     within a dependency level are independent and fan out over the
+     lib/par pool; every per-gate computation is untouched, so the
+     tables are bit-identical for any worker count. *)
   let table = Array.make n [||] in
-  let po_pos = output_positions c in
-  let compute_table id =
-    table.(id) <-
-      ws_table config masking ~samples:ws ~po_pos
-        ~delays:timing.Timing.delays ~tables:table c id
-  in
-  (* The WS table of a gate reads only the tables of its successors
-     (and nothing at all for a primary-output gate), so the gates are
-     scheduled in reverse-topological {e dependency levels}: level 0
-     holds the gates whose table reads no other (primary-output gates
-     and fan-out-free sinks), level [l+1] the gates all of whose
-     successors sit at level <= [l]. Gates within a level are
-     independent and fan out over the lib/par pool; every per-gate
-     computation is untouched, so the tables are bit-identical for any
-     worker count. *)
-  let level = Array.make n (-1) in
-  let max_level = ref 0 in
-  for id = n - 1 downto 0 do
-    if not (Circuit.is_input c id) then begin
-      let l =
-        if po_pos.(id) >= 0 then 0
-        else
-          List.fold_left
-            (fun acc s -> max acc (level.(s) + 1))
-            0 (successors c id)
+  let cx =
+    Obs.Trace.with_span "aserta.ws_tables" @@ fun () ->
+      let cx =
+        match cx with Some cx -> cx | None -> context config masking c
       in
-      level.(id) <- l;
-      if l > !max_level then max_level := l
-    end
-  done;
-  let by_level = Array.make (!max_level + 1) [] in
-  for id = n - 1 downto 0 do
-    if level.(id) >= 0 then by_level.(level.(id)) <- id :: by_level.(level.(id))
-  done;
-  Obs.Trace.with_span "aserta.ws_tables" (fun () ->
+      let brackets =
+        Array.init n (fun id ->
+            if Circuit.is_input c id then no_brackets
+            else ws_brackets cx ~delay:timing.Timing.delays.(id))
+      in
       Array.iter
         (fun ids ->
-          let ids = Array.of_list ids in
           Ser_par.Par.parallel_for ~n:(Array.length ids) (fun k ->
-              compute_table ids.(k)))
-        by_level);
+              let id = ids.(k) in
+              table.(id) <-
+                (match cx.ws_ctx.(id) with
+                | Some ctx -> ws_table cx ctx ~brackets ~tables:table
+                | None -> po_table cx ~n_pos cx.po_pos.(id))))
+        cx.levels;
+      cx
+  in
   (* generated widths, step (iv) interpolation, and Eqs 3-4; the
      per-gate pass is embarrassingly parallel, the total is summed
      sequentially in gate order afterwards *)
@@ -437,10 +365,8 @@ let run_electrical config lib asg masking =
           ~output_low:false
       in
       let wi, wij, u =
-        gate_unreliability masking ~samples:ws ~po_pos ~tables:table ~n_pos
-          ~w_low ~w_high
-          ~area:(Library.area lib cell)
-          id
+        gate_unreliability cx masking ~table:table.(id) ~w_low ~w_high
+          ~area:(Library.area lib cell) id
       in
       gen_width.(id) <- wi;
       expected_width.(id) <- wij;
@@ -458,9 +384,14 @@ let run_electrical config lib asg masking =
     expected_width;
     unreliability;
     total = !total;
-    samples = ws;
+    samples = cx.grid;
     tables = table;
+    context = cx;
   }
+
+let run_electrical config lib asg masking = electrical config lib asg masking
+let run_electrical_with cx config lib asg masking =
+  electrical ~cx config lib asg masking
 
 let run ?(config = default_config) ?prune lib asg =
   let masking = compute_masking ?prune config (Assignment.circuit asg) in

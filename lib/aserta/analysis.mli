@@ -69,6 +69,28 @@ type masking = {
     input statistics — not on sizing/VDD/Vth — so SERTOPT computes it
     once and re-runs only the electrical pass in its loop. *)
 
+type ws_ctx
+(** The assignment-independent part of one gate's WS table: its unique
+    successors and the Eq-2 blend weights per (output, successor). *)
+
+type context = {
+  grid : float array;  (** the sample glitch-width grid *)
+  po_pos : int array;
+      (** per node: primary-output position, [-1] for other nodes *)
+  ws_ctx : ws_ctx option array;
+      (** per node: [Some] exactly on the non-input, non-output gates *)
+  levels : int array array;
+      (** reverse-topological dependency levels of the non-input gates:
+          a gate's WS table reads only tables of lower levels *)
+  zero_row : float array;
+      (** the all-zero row every WS table aliases for an output it
+          cannot reach; never mutated *)
+}
+(** The assignment-independent context of the electrical pass. It
+    depends only on the config, the masking and the circuit, which stay
+    fixed while SERTOPT varies the cells, so one context serves every
+    pass over the same circuit. *)
+
 type t = {
   config : config;
   circuit : Ser_netlist.Circuit.t;
@@ -88,6 +110,7 @@ type t = {
           output [j] for a glitch born at gate [i] (the WS tables of
           Section 3.2); empty at primary inputs. Kept for
           {!expected_width_at}. *)
+  context : context;  (** the pass context, reusable for re-runs *)
 }
 
 val compute_masking :
@@ -137,92 +160,61 @@ val sample_widths : config -> float array
 (** The sample glitch-width grid used by the electrical pass
     (geometric, topped by [max_sample_width]). *)
 
-val output_positions : Ser_netlist.Circuit.t -> int array
-(** Per-node primary-output position ([-1] for non-output nodes), as
-    used by the electrical pass. *)
+val context : config -> masking -> Ser_netlist.Circuit.t -> context
+(** Build the context (sensitizations and blend weights of every gate
+    over the lib/par pool; bit-identical for any worker count). *)
+
+val run_electrical_with :
+  context ->
+  config ->
+  Ser_cell.Library.t ->
+  Ser_sta.Assignment.t ->
+  masking ->
+  t
+(** {!run_electrical} on a context built by {!context} from the same
+    config, masking and circuit (e.g. an earlier analysis's
+    [context]); bit-identical to {!run_electrical}. *)
+
+val ws_brackets : context -> delay:float -> int array * float array
+(** The Eq-1 attenuation of the sample grid through one gate delay: per
+    sample, the interpolation bracket of the attenuated width ([-1]
+    when fully attenuated) and its fraction. A pure function of the
+    delay and the grid. *)
 
 val ws_table :
-  config ->
-  masking ->
-  samples:float array ->
-  po_pos:int array ->
-  delays:float array ->
-  tables:float array array array ->
-  Ser_netlist.Circuit.t ->
-  int ->
-  float array array
-(** The WS expected-width table of one gate (Section 3.2): an
-    [outputs * samples] matrix giving the expected width reaching each
-    primary output for a glitch of each sample width born at the gate.
-    Reads only the per-gate [delays] of the gate's successors and their
-    rows in [tables] ([tables.(s)] must already hold every successor
-    [s]'s matrix); a primary-output gate reads nothing. This is the
-    shared kernel of {!run_electrical} and the incremental engine
-    ([Ser_incr.Incr]) — recomputing a gate through it with bit-identical
-    inputs yields a bit-identical matrix. *)
-
-type ws_ctx
-(** The assignment-independent part of one gate's {!ws_table}
-    computation: unique successors, sensitizations, Eq-2 blend weights
-    per (output, successor). *)
-
-val make_ws_ctx : config -> masking -> Ser_netlist.Circuit.t -> int -> ws_ctx
-(** Precompute the context for a non-input, non-primary-output gate.
-    Valid as long as the circuit and masking are unchanged (they are
-    fixed during optimization). *)
-
-val ws_ctx_succs : ws_ctx -> int array
-(** The gate's unique successor ids, in [ws_table] order. *)
-
-val ws_ctx_live : ws_ctx -> int -> bool
-(** Whether output position [j] has any contribution for this gate.
-    [false] guarantees the gate's WS-table row for [j] is all zeros
-    (under any assignment), so interpolating it yields exactly [+0.] —
-    the incremental engine uses this to skip dead outputs. *)
-
-val ws_ctx_zero_row : ws_ctx -> float array
-(** The context's shared all-zero row: {!ws_table_ctx} aliases it for
-    every output with {!ws_ctx_live} [= false]. Callers must treat it as
-    immutable. Exposed so the incremental engine can alias the same row
-    in matrices it did not build through [ws_table_ctx], making
-    physical-equality cutoff checks short-circuit on dead rows. *)
-
-val ws_brackets : samples:float array -> delay:float -> int array * float array
-(** The Eq-1 attenuation of the sample grid through one successor
-    delay: per sample, the interpolation bracket of the attenuated
-    width ([-1] when fully attenuated) and its fraction. A pure
-    function of [(delay, grid)] — memoisable per delay value. *)
-
-val ws_table_ctx :
+  context ->
   ws_ctx ->
-  samples:float array ->
-  n_pos:int ->
   brackets:(int array * float array) array ->
   tables:float array array array ->
-  Ser_netlist.Circuit.t ->
-  int ->
   float array array
-(** {!ws_table} with the context and per-successor brackets precomputed
-    ([brackets.(si)] = [ws_brackets] of successor [si]'s delay):
-    bit-identical output, used by the incremental engine to avoid
-    recomputing sensitizations and weights on every cone update. *)
+(** The WS expected-width table of one non-input, non-output gate
+    (Section 3.2, step (iii)): an [outputs * samples] matrix giving the
+    expected width reaching each primary output for a glitch of each
+    sample width born at the gate. [brackets.(s)] must be
+    {!ws_brackets} of gate [s]'s delay and [tables.(s)] its table, for
+    every successor [s]; nothing else is read. This is the one WS-table
+    kernel: {!run_electrical} calls it level by level and the
+    incremental engine ([Ser_incr.Incr]) on each stale gate, so equal
+    inputs give bit-identical matrices. *)
 
 val gate_unreliability :
+  context ->
   masking ->
-  samples:float array ->
-  po_pos:int array ->
-  tables:float array array array ->
-  n_pos:int ->
+  table:float array array ->
   w_low:float ->
   w_high:float ->
   area:float ->
   int ->
   float * float array * float
-(** Steps (i)/(iv) and Eqs 3-4 for one gate: blend the two generated
-    glitch widths ([w_low]/[w_high], strike with output low/high) with
-    the gate's one-probability, interpolate the gate's WS table at the
-    blended width for every output, and weight by [area]. Returns
-    [(w_i, W_ij row, U_i)]. The electrical LUT lookups that produce
+(** Steps (i)/(iv) and Eqs 3-4 for one non-input gate: blend the two
+    generated glitch widths ([w_low]/[w_high], strike with output
+    low/high) with the gate's one-probability, interpolate the gate's
+    WS [table] at the blended width for every output, and weight by
+    [area]. Returns [(w_i, W_ij row, U_i)]. The interpolation bracket
+    of [w_i] is found once and each output costs one [lerp],
+    bit-identical to [Lut.interpolate_1d] per output. This is the one
+    per-gate unreliability kernel, shared by {!run_electrical} and the
+    incremental engine. The electrical LUT lookups that produce
     [w_low]/[w_high] stay with the caller so the incremental engine can
     memoise them. *)
 

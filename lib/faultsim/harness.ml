@@ -914,23 +914,26 @@ let rec rm_rf path =
   | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-(* The daemon under test is a forked child of the test process: the
-   serve group runs sequentially on the main domain (like "jobs",
-   forking from a pool worker is unsafe) and the child immediately
-   drops to one worker so it never touches the inherited pool. *)
-let fork_server cfg =
-  match Unix.fork () with
-  | 0 ->
-    (try
-       Ser_par.Par.set_jobs 1;
-       let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-       Unix.dup2 devnull Unix.stdout;
-       Unix.dup2 devnull Unix.stderr;
-       Unix.close devnull;
-       ignore (Server.run cfg)
-     with _ -> ());
-    Unix._exit 0
-  | pid -> pid
+(* The daemon under test is a [sertool serve] child started through
+   [Unix.create_process_env], the way [Jobs.Supervisor] starts workers:
+   the test process, which may already hold pool domains, is never
+   forked. [sertool] is the binary's path; [args] are extra serve
+   flags. *)
+let spawn_serve ~sertool ~socket ~spool_dir args =
+  if not (Sys.file_exists sertool) then
+    failwith (Printf.sprintf "sertool binary %S does not exist" sertool);
+  let argv =
+    Array.of_list
+      ([ sertool; "serve"; "--socket"; socket; "--spool-dir"; spool_dir;
+         "--quiet"; "-j"; "1" ]
+      @ args)
+  in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close devnull)
+    (fun () ->
+      Unix.create_process_env sertool argv (Unix.environment ()) devnull
+        devnull devnull)
 
 let stop_server ?(signal = Sys.sigterm) pid =
   (try Unix.kill pid signal with Unix.Unix_error _ -> ());
@@ -939,15 +942,13 @@ let stop_server ?(signal = Sys.sigterm) pid =
 let client_opts =
   { Sclient.default_opts with Sclient.request_timeout_s = 60.; retries = 2 }
 
-let with_server ?(configure = fun c -> c) f =
+(* [args dir] are the extra serve flags, given the scenario's private
+   directory. *)
+let with_server ~sertool ?(args = fun _ -> []) f =
   let dir = serve_tmpdir () in
   let socket = Filename.concat dir "d.sock" in
-  let cfg =
-    configure
-      { (Server.default ~socket) with Server.spool_dir = Some dir }
-  in
   let addr = Server.Unix_sock socket in
-  let pid = fork_server cfg in
+  let pid = spawn_serve ~sertool ~socket ~spool_dir:dir (args dir) in
   Fun.protect
     ~finally:(fun () ->
       stop_server pid;
@@ -996,7 +997,7 @@ let health_int addr path =
     in
     walk payload path
 
-let serve_scenarios () =
+let serve_scenarios ~sertool =
   [
     {
       name = "mid-request client disconnect";
@@ -1004,7 +1005,7 @@ let serve_scenarios () =
       expect = Must_survive;
       run =
         (fun () ->
-          with_server (fun ~dir:_ ~socket ~addr ->
+          with_server ~sertool (fun ~dir:_ ~socket ~addr ->
               let fd = raw_connect socket in
               (match Frame.write_frame fd (analyze_req ~fault:"sleep:200" ())
                with
@@ -1021,7 +1022,7 @@ let serve_scenarios () =
       expect = Must_reject;
       run =
         (fun () ->
-          with_server (fun ~dir:_ ~socket ~addr:_ ->
+          with_server ~sertool (fun ~dir:_ ~socket ~addr:_ ->
               let fd = raw_connect socket in
               Fun.protect
                 ~finally:(fun () ->
@@ -1036,8 +1037,8 @@ let serve_scenarios () =
       expect = Must_reject;
       run =
         (fun () ->
-          with_server
-            ~configure:(fun c -> { c with Server.max_frame = 1024 })
+          with_server ~sertool
+            ~args:(fun _ -> [ "--max-frame"; "1024" ])
             (fun ~dir:_ ~socket ~addr ->
               let fd = raw_connect socket in
               let verdict =
@@ -1062,22 +1063,13 @@ let serve_scenarios () =
       expect = Must_reject;
       run =
         (fun () ->
-          with_server
-            ~configure:(fun c ->
-              {
-                c with
-                Server.worker_retries = 0;
-                worker_timeout_s = 10.;
-                make_worker =
-                  Some
-                    (fun _req ~spool:_ ->
-                      Supervisor.job ~id:"crash"
-                        [| "/bin/sh"; "-c"; "kill -SEGV $$" |]);
-              })
+          with_server ~sertool
+            ~args:(fun _ ->
+              [ "--worker-retries"; "0"; "--worker-timeout"; "10" ])
             (fun ~dir:_ ~socket:_ ~addr ->
               match
                 Sclient.call ~opts:client_opts addr
-                  (analyze_req ~isolate:true ())
+                  (analyze_req ~isolate:true ~fault:"crash" ())
               with
               | Error d ->
                 Uncaught (Failure ("transport failure: " ^ Diag.to_string d))
@@ -1101,16 +1093,13 @@ let serve_scenarios () =
       expect = Must_flag;
       run =
         (fun () ->
-          with_server
-            ~configure:(fun c ->
-              {
-                c with
-                Server.cache_dir = Some "/nonexistent-is-ignored";
-                cache_writer =
-                  Some
-                    (fun path _ ->
-                      raise (Unix.Unix_error (Unix.ENOSPC, "write", path)));
-              })
+          with_server ~sertool
+            ~args:(fun dir ->
+              (* every cache write lands on /dev/full: a real ENOSPC *)
+              let cache = Filename.concat dir "cache" in
+              Unix.mkdir cache 0o700;
+              Unix.symlink "/dev/full" (Filename.concat cache "cache.json.tmp");
+              [ "--cache-dir"; cache ])
             (fun ~dir:_ ~socket:_ ~addr ->
               match Sclient.call ~opts:client_opts addr (analyze_req ()) with
               | Error d ->
@@ -1132,8 +1121,7 @@ let serve_scenarios () =
       expect = Must_flag;
       run =
         (fun () ->
-          with_server
-            ~configure:(fun c -> { c with Server.max_queue = 1 })
+          with_server ~sertool ~args:(fun _ -> [ "--max-queue"; "1" ])
             (fun ~dir:_ ~socket ~addr ->
               let n = 5 in
               let fds =
@@ -1192,16 +1180,13 @@ let serve_scenarios () =
             ~finally:(fun () -> rm_rf dir)
             (fun () ->
               let socket = Filename.concat dir "d.sock" in
-              let cfg =
-                {
-                  (Server.default ~socket) with
-                  Server.cache_dir = Some (Filename.concat dir "cache");
-                  spool_dir = Some dir;
-                }
+              let spawn () =
+                spawn_serve ~sertool ~socket ~spool_dir:dir
+                  [ "--cache-dir"; Filename.concat dir "cache" ]
               in
               let addr = Server.Unix_sock socket in
               let req = analyze_req () in
-              let pid = fork_server cfg in
+              let pid = spawn () in
               let first =
                 if not (Sclient.wait_ready ~opts:client_opts addr) then
                   Error "daemon did not come up"
@@ -1215,7 +1200,7 @@ let serve_scenarios () =
               match first with
               | Error msg -> Uncaught (Failure msg)
               | Ok p1 -> (
-                let pid2 = fork_server cfg in
+                let pid2 = spawn () in
                 Fun.protect
                   ~finally:(fun () -> stop_server pid2)
                   (fun () ->
@@ -1241,13 +1226,13 @@ let serve_scenarios () =
     };
   ]
 
-let scenarios () =
+let scenarios ~sertool =
   parser_scenarios () @ engine_scenarios () @ analysis_scenarios ()
   @ odc_scenarios () @ optimizer_scenarios () @ util_scenarios ()
   @ obs_scenarios () @ jobs_scenarios () @ shard_scenarios ()
-  @ serve_scenarios ()
+  @ serve_scenarios ~sertool
 
-let run_all () =
+let run_all ~sertool =
   (* force the shared fixtures before fanning out: Lazy.force is not
      safe to race from several domains (the losers raise
      Lazy.Undefined), and base_asg pulls in the other two *)
@@ -1255,14 +1240,13 @@ let run_all () =
   let par, seq =
     List.partition
       (fun s -> s.group <> "jobs" && s.group <> "shard" && s.group <> "serve")
-      (scenarios ())
+      (scenarios ~sertool)
   in
   let ps = Array.of_list par in
   let outcomes = Ser_par.Par.parallel_map ~chunk:1 run_scenario ps in
   let par_results =
     Array.to_list (Array.mapi (fun i o -> (ps.(i), o)) outcomes)
   in
-  (* the jobs and serve scenarios fork child processes; fork from a
-     pool worker domain is unsafe in a multicore runtime, so they stay
-     on the main domain, after the pooled groups *)
+  (* the jobs, shard and serve scenarios drive child processes; they
+     run one at a time on the main domain, after the pooled groups *)
   par_results @ List.map (fun s -> (s, run_scenario s)) seq

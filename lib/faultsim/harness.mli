@@ -32,22 +32,32 @@ type scenario = {
   run : unit -> outcome;
 }
 
-val scenarios : unit -> scenario list
+val scenarios : sertool:string -> scenario list
 (** The full corruption catalogue (30+ scenarios). Building the list is
-    cheap; each scenario does its work when [run]. *)
+    cheap; each scenario does its work when [run]. [sertool] is the path
+    of the [sertool] binary the ["serve"] scenarios start as their
+    daemon under test. *)
 
 val run_scenario : scenario -> outcome
 (** Run one scenario, converting any escaped exception to
     {!Uncaught}. *)
 
-val run_all : unit -> (scenario * outcome) list
+val run_all : sertool:string -> (scenario * outcome) list
 (** Run every scenario. Scenarios are independent and fan out over the
     {!Ser_par.Par} pool (one scenario per chunk); the result list keeps
     the declaration order regardless of worker count. The ["jobs"],
     ["shard"] and ["serve"] groups are the exception: those scenarios
-    fork real child processes (supervised workers, sharded batches, a
-    live [sertool serve] daemon), and forking from a pool worker domain
-    is unsafe, so they run sequentially on the calling domain. *)
+    drive real child processes (supervised workers, sharded batches, a
+    live [sertool serve] daemon) and run sequentially on the calling
+    domain. *)
+
+val spawn_serve :
+  sertool:string -> socket:string -> spool_dir:string -> string list -> int
+(** Start [sertool serve --socket socket --spool-dir spool_dir --quiet
+    -j 1 ARGS] as a child process through [Unix.create_process_env],
+    with its standard streams on [/dev/null], and return its pid. The
+    caller is never forked, so it may already hold pool domains. Fails
+    with [Failure] when [sertool] does not exist. *)
 
 val satisfies : expect -> outcome -> bool
 (** Whether an outcome is acceptable for the scenario's expectation.

@@ -84,35 +84,9 @@ module Memo = struct
       v
 end
 
-type stats = {
-  mutable updates : int;
-  mutable cells_changed : int;
-  mutable sta_recomputed : int;
-  mutable sta_cutoff : int;
-  mutable tables_recomputed : int;
-  mutable tables_cutoff : int;
-  mutable gates_recomputed : int;
-  mutable drift_snaps : int;
-  mutable full_rebuilds : int;
-}
-
-let fresh_stats () =
-  {
-    updates = 0;
-    cells_changed = 0;
-    sta_recomputed = 0;
-    sta_cutoff = 0;
-    tables_recomputed = 0;
-    tables_cutoff = 0;
-    gates_recomputed = 0;
-    drift_snaps = 0;
-    full_rebuilds = 0;
-  }
-
 (* Process-wide obs probes. The per-gate loops below stay free of
-   atomics and allocation: [update] accumulates into the engine's own
-   mutable [stats] record and the wrapper flushes the per-update deltas
-   into these counters in one go. *)
+   atomics: [update] counts into local ints and adds them to these
+   counters once per update. *)
 let m_updates = Obs.Metrics.counter "incr.updates"
 let m_cells = Obs.Metrics.counter "incr.cells_changed"
 let m_sta = Obs.Metrics.counter "incr.sta_recomputed"
@@ -129,12 +103,7 @@ type t = {
   config : Analysis.config;
   masking : Analysis.masking;
   circuit : Circuit.t;
-  samples : float array;
-  n_pos : int;
-  po_pos : int array;
-  ws_ctx : Analysis.ws_ctx option array;
-      (* per non-input, non-PO gate: hoisted successors/sensitizations/
-         weights; assignment-independent, shared by forks *)
+  cx : Analysis.context; (* assignment-independent, shared by forks *)
   sta : Incr_sta.t; (* cells and the timing arrays *)
   (* mutable per-gate state, mirroring Analysis.t *)
   tables : float array array array;
@@ -156,7 +125,6 @@ type t = {
   mutable kahan_sum : float;
   mutable kahan_c : float;
   memo : Memo.t;
-  stats : stats;
 }
 
 type metrics = {
@@ -187,128 +155,63 @@ let memo_glitch t cell ~node_cap =
         Library.generated_glitch_width t.lib cell ~node_cap ~charge
           ~output_low:false ))
 
-(* [Analysis.gate_unreliability], restated for repeated evaluation:
-
-   - dead outputs are skipped: when the gate's WS-table row for an
-     output is provably all zeros ([Analysis.ws_ctx_live] false; every
-     off-position row of a primary-output gate), the original
-     interpolation returns exactly [+0.] ([lerp 0. 0. t] with [t] in
-     [0, 1]), so returning the literal is bit-identical and saves the
-     table walk — on wide circuits most (gate, output) pairs are dead;
-   - the interpolation bracket of [wi] on the sample grid is hoisted
-     out of the per-output loop ([Lut.interpolate_1d] recomputes the
-     same index and fraction for every output since [x = wi] is
-     shared), leaving one [lerp] per live output. *)
-let gate_unrel t id ~w_low ~w_high =
-  let p1 = t.masking.Analysis.probs.(id) in
-  let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
-  let tbl = t.tables.(id) in
-  let ws = t.samples in
-  let n_samples = Array.length ws in
-  let br = Ser_util.Floatx.binary_search_bracket ws wi in
-  let x = Ser_util.Floatx.clamp ~lo:ws.(0) ~hi:ws.(n_samples - 1) wi in
-  let fr = Ser_util.Floatx.inv_lerp ws.(br) ws.(br + 1) x in
-  let wij =
-    Array.init t.n_pos (fun j ->
-        if t.po_pos.(id) = j then wi
-        else if tbl = [||] then 0.
-        else
-          let live =
-            match t.ws_ctx.(id) with
-            | Some ctx -> Analysis.ws_ctx_live ctx j
-            | None -> false
-          in
-          if live then
-            let row = tbl.(j) in
-            Ser_util.Floatx.lerp row.(br) row.(br + 1) fr
-          else 0.)
-  in
-  (wi, wij, t.cell_area.(id) *. Ser_util.Floatx.sum wij)
+(* Adopt a from-scratch analysis of the handle's current assignment:
+   copy its per-gate results and refresh every per-gate cache. *)
+let adopt t (a : Analysis.t) =
+  let n = Circuit.node_count t.circuit in
+  Array.blit a.Analysis.tables 0 t.tables 0 n;
+  Array.blit a.Analysis.gen_width 0 t.gen_width 0 n;
+  Array.blit a.Analysis.expected_width 0 t.expected_width 0 n;
+  Array.blit a.Analysis.unreliability 0 t.unreliability 0 n;
+  for id = 0 to n - 1 do
+    if not (Circuit.is_input t.circuit id) then begin
+      let p = Incr_sta.cell t.sta id in
+      let load = Incr_sta.load t.sta id in
+      t.dyn_energy.(id) <- Library.switching_energy t.lib p ~cload:load;
+      t.leak_power.(id) <- Library.leakage_power t.lib p;
+      t.cell_area.(id) <- Library.area t.lib p;
+      let node_cap = load +. Library.output_cap t.lib p in
+      let wl, wh = memo_glitch t p ~node_cap in
+      t.glitch_low.(id) <- wl;
+      t.glitch_high.(id) <- wh;
+      t.brackets.(id) <-
+        Analysis.ws_brackets t.cx ~delay:(Incr_sta.delay t.sta id)
+    end
+  done;
+  t.kahan_sum <- refold t;
+  t.kahan_c <- 0.
 
 let of_analysis ?memo lib asg (a : Analysis.t) =
   let c = Assignment.circuit asg in
   if a.Analysis.circuit != c then
     invalid_arg "Incr.of_analysis: analysis is for a different circuit";
   let n = Circuit.node_count c in
-  let timing = a.Analysis.timing in
-  let po_pos = Analysis.output_positions c in
-  (* hoist the assignment-independent part of every WS-table
-     computation (successors, sensitizations, Eq-2 weights); immutable,
-     so forks share it *)
-  let ws_ctx =
-    Array.init n (fun id ->
-        if Circuit.is_input c id || po_pos.(id) >= 0 then None
-        else Some (Analysis.make_ws_ctx a.Analysis.config a.Analysis.masking c id))
-  in
   let config = a.Analysis.config in
-  let dyn_energy = Array.make n 0. in
-  let leak_power = Array.make n 0. in
-  let cell_area = Array.make n 0. in
-  let glitch_low = Array.make n 0. in
-  let glitch_high = Array.make n 0. in
-  let brackets = Array.make n ([||], [||]) in
-  Assignment.fold_gates asg ~init:() ~f:(fun () id p ->
-        dyn_energy.(id) <-
-          Library.switching_energy lib p ~cload:timing.Timing.loads.(id);
-        leak_power.(id) <- Library.leakage_power lib p;
-        cell_area.(id) <- Library.area lib p;
-        let node_cap =
-          timing.Timing.loads.(id) +. Library.output_cap lib p
-        in
-        let charge = config.Analysis.charge in
-        glitch_low.(id) <-
-          Library.generated_glitch_width lib p ~node_cap ~charge
-            ~output_low:true;
-        glitch_high.(id) <-
-          Library.generated_glitch_width lib p ~node_cap ~charge
-            ~output_low:false;
-        brackets.(id) <-
-          Analysis.ws_brackets ~samples:a.Analysis.samples
-            ~delay:timing.Timing.delays.(id));
   let t =
     {
       lib;
-      config = a.Analysis.config;
+      config;
       masking = a.Analysis.masking;
       circuit = c;
-      samples = a.Analysis.samples;
-      n_pos = Array.length c.Circuit.outputs;
-      po_pos;
-      ws_ctx;
-      sta = Incr_sta.of_timing ~env:config.Analysis.env lib asg timing;
-      tables =
-        (* re-point every provably-zero row at the gate's shared zero
-           row ([ws_ctx_live] false implies the materialised row is all
-           zeros under any assignment), so the first cutoff comparison
-           of each table short-circuits on physical equality instead of
-           scanning dead rows *)
-        Array.mapi
-          (fun id m ->
-            match ws_ctx.(id) with
-            | None -> m
-            | Some ctx ->
-              Array.mapi
-                (fun j row ->
-                  if Analysis.ws_ctx_live ctx j then row
-                  else Analysis.ws_ctx_zero_row ctx)
-                m)
-          a.Analysis.tables;
-      gen_width = Array.copy a.Analysis.gen_width;
-      expected_width = Array.copy a.Analysis.expected_width;
-      unreliability = Array.copy a.Analysis.unreliability;
-      dyn_energy;
-      leak_power;
-      cell_area;
-      glitch_low;
-      glitch_high;
-      brackets;
+      cx = a.Analysis.context;
+      sta =
+        Incr_sta.of_timing ~env:config.Analysis.env lib asg a.Analysis.timing;
+      tables = Array.make n [||];
+      gen_width = Array.make n 0.;
+      expected_width = Array.make n [||];
+      unreliability = Array.make n 0.;
+      dyn_energy = Array.make n 0.;
+      leak_power = Array.make n 0.;
+      cell_area = Array.make n 0.;
+      glitch_low = Array.make n 0.;
+      glitch_high = Array.make n 0.;
+      brackets = Array.make n ([||], [||]);
       kahan_sum = 0.;
       kahan_c = 0.;
       memo = (match memo with Some m -> m | None -> Memo.create ());
-      stats = fresh_stats ();
     }
   in
-  t.kahan_sum <- refold t;
+  adopt t a;
   t
 
 let create ?memo ~config lib asg masking =
@@ -330,7 +233,6 @@ let fork t =
     glitch_low = Array.copy t.glitch_low;
     glitch_high = Array.copy t.glitch_high;
     brackets = Array.copy t.brackets;
-    stats = fresh_stats ();
   }
 
 let validate t g (cell : Cell_params.t) =
@@ -350,185 +252,142 @@ let validate t g (cell : Cell_params.t) =
    costs more than the from-scratch pass it replays — rebuild wholesale
    instead. Either path yields the same bit-identical state. *)
 let rebuild t changes =
-  t.stats.full_rebuilds <- t.stats.full_rebuilds + 1;
   Obs.Metrics.incr m_rebuilds;
-  t.stats.cells_changed <- t.stats.cells_changed + List.length changes;
   Incr_sta.try_cells t.sta changes;
   Incr_sta.commit t.sta;
-  let a =
-    Analysis.run_electrical t.config t.lib (Incr_sta.assignment t.sta)
-      t.masking
-  in
-  let n = Circuit.node_count t.circuit in
-  Array.blit a.Analysis.tables 0 t.tables 0 n;
-  Array.blit a.Analysis.gen_width 0 t.gen_width 0 n;
-  Array.blit a.Analysis.expected_width 0 t.expected_width 0 n;
-  Array.blit a.Analysis.unreliability 0 t.unreliability 0 n;
-  for id = 0 to n - 1 do
-    if not (Circuit.is_input t.circuit id) then begin
-      let p = Incr_sta.cell t.sta id in
-      let load = Incr_sta.load t.sta id in
-      t.dyn_energy.(id) <- Library.switching_energy t.lib p ~cload:load;
-      t.leak_power.(id) <- Library.leakage_power t.lib p;
-      t.cell_area.(id) <- Library.area t.lib p;
-      let node_cap = load +. Library.output_cap t.lib p in
-      let wl, wh = memo_glitch t p ~node_cap in
-      t.glitch_low.(id) <- wl;
-      t.glitch_high.(id) <- wh;
+  adopt t
+    (Analysis.run_electrical_with t.cx t.config t.lib
+       (Incr_sta.assignment t.sta) t.masking)
+
+(* Cone propagation of a batch of effective changes. The per-gate loops
+   count into local ints, added to the obs counters once at the end. *)
+let propagate t changes =
+  let sta = t.sta in
+  let c = t.circuit in
+  let n = Circuit.node_count c in
+  (* 1-3. cell writes, loads of the fan-in nets and the forward STA
+     over the fanout cone, with bitwise cutoff: the STA handle *)
+  let evals0 = Incr_sta.gate_evals sta and cut0 = Incr_sta.cutoffs sta in
+  Incr_sta.try_cells sta changes;
+  Incr_sta.commit sta;
+  let cell_changed = Array.make n false in
+  let table_changed = Array.make n false in
+  List.iter
+    (fun (g, cell) ->
+      cell_changed.(g) <- true;
+      t.leak_power.(g) <- Library.leakage_power t.lib cell;
+      t.cell_area.(g) <- Library.area t.lib cell)
+    changes;
+  (* 4. WS tables over the fanin cone of the delay changes, descending
+     ids (reverse topological): a gate's table reads only its
+     successors' delays and tables, so it is stale iff some successor
+     has a changed delay or a changed table. Primary-output gates'
+     tables are constant. A changed delay refreshes the gate's
+     brackets before any driver (a smaller id) reads them. Cutoff: a
+     recomputed table that is bit-identical does not dirty its
+     drivers. *)
+  let tables_recomputed = ref 0 and tables_cutoff = ref 0 in
+  for id = n - 1 downto 0 do
+    if Incr_sta.delay_changed sta id then
       t.brackets.(id) <-
-        Analysis.ws_brackets ~samples:t.samples ~delay:(Incr_sta.delay t.sta id)
+        Analysis.ws_brackets t.cx ~delay:(Incr_sta.delay sta id);
+    match t.cx.Analysis.ws_ctx.(id) with
+    | None -> ()
+    | Some ctx ->
+      let stale = ref false in
+      Array.iter
+        (fun s ->
+          if Incr_sta.delay_changed sta s || table_changed.(s) then
+            stale := true)
+        (Circuit.node c id).Circuit.fanout;
+      if !stale then begin
+        incr tables_recomputed;
+        let tbl =
+          Analysis.ws_table t.cx ctx ~brackets:t.brackets ~tables:t.tables
+        in
+        if same_matrix tbl t.tables.(id) then incr tables_cutoff
+        else begin
+          t.tables.(id) <- tbl;
+          table_changed.(id) <- true
+        end
+      end
+  done;
+  (* 5. per-gate unreliability (and switching energy) wherever the
+     cell, the node load, or the WS table actually changed *)
+  let gates_recomputed = ref 0 in
+  for id = 0 to n - 1 do
+    let moved = cell_changed.(id) || Incr_sta.load_changed sta id in
+    if (moved || table_changed.(id)) && not (Circuit.is_input c id) then begin
+      incr gates_recomputed;
+      if moved then begin
+        (* only a cell or load change moves the generated glitch
+           widths and the switching energy; a table-only change
+           reuses the cached pair *)
+        let cell = Incr_sta.cell sta id in
+        let load = Incr_sta.load sta id in
+        let node_cap = load +. Library.output_cap t.lib cell in
+        let wl, wh = memo_glitch t cell ~node_cap in
+        t.glitch_low.(id) <- wl;
+        t.glitch_high.(id) <- wh;
+        t.dyn_energy.(id) <- Library.switching_energy t.lib cell ~cload:load
+      end;
+      let wi, wij, u =
+        Analysis.gate_unreliability t.cx t.masking ~table:t.tables.(id)
+          ~w_low:t.glitch_low.(id) ~w_high:t.glitch_high.(id)
+          ~area:t.cell_area.(id) id
+      in
+      t.gen_width.(id) <- wi;
+      t.expected_width.(id) <- wij;
+      let old_u = t.unreliability.(id) in
+      if not (same_bits u old_u) then begin
+        kahan_add t (u -. old_u);
+        t.unreliability.(id) <- u
+      end
     end
   done;
-  t.kahan_sum <- refold t;
-  t.kahan_c <- 0.
+  let sta_evals = Incr_sta.gate_evals sta - evals0 in
+  Obs.Metrics.add m_sta sta_evals;
+  Obs.Metrics.add m_sta_cut (Incr_sta.cutoffs sta - cut0);
+  Obs.Metrics.add m_tbl !tables_recomputed;
+  Obs.Metrics.add m_tbl_cut !tables_cutoff;
+  Obs.Metrics.add m_gates !gates_recomputed;
+  Obs.Metrics.observe m_cone sta_evals
 
-let update_impl t changes =
-  let sta = t.sta in
-  (* the batch as if applied in order: each gate once, at its last
-     write, dropped if that is its current cell *)
+(* The batch as if applied in order: each gate once, at its last
+   write, dropped if that is its current cell. *)
+let effective_changes t changes =
   let last = Hashtbl.create 8 in
   List.iter
     (fun (g, cell) ->
       validate t g cell;
       Hashtbl.replace last g cell)
     changes;
-  let changes =
-    List.filter_map
-      (fun (g, _) ->
-        match Hashtbl.find_opt last g with
-        | None -> None
-        | Some cell ->
-          Hashtbl.remove last g;
-          if Cell_params.equal (Incr_sta.cell sta g) cell then None
-          else Some (g, cell))
-      changes
-  in
-  if changes <> [] then begin
-    t.stats.updates <- t.stats.updates + 1;
-    let c = t.circuit in
-    let n = Circuit.node_count c in
-    if List.length changes > max 8 (Circuit.gate_count c / 8) then
-      rebuild t changes
-    else begin
-    (* 1-3. cell writes, loads of the fan-in nets and the forward STA
-       over the fanout cone, with bitwise cutoff: the STA handle *)
-    let evals0 = Incr_sta.gate_evals sta and cut0 = Incr_sta.cutoffs sta in
-    Incr_sta.try_cells sta changes;
-    Incr_sta.commit sta;
-    t.stats.sta_recomputed <-
-      t.stats.sta_recomputed + Incr_sta.gate_evals sta - evals0;
-    t.stats.sta_cutoff <- t.stats.sta_cutoff + Incr_sta.cutoffs sta - cut0;
-    let cell_changed = Array.make n false in
-    let table_changed = Array.make n false in
-    List.iter
-      (fun (g, cell) ->
-        t.stats.cells_changed <- t.stats.cells_changed + 1;
-        cell_changed.(g) <- true;
-        t.leak_power.(g) <- Library.leakage_power t.lib cell;
-        t.cell_area.(g) <- Library.area t.lib cell)
-      changes;
-    (* 4. WS tables over the fanin cone of the delay changes, descending
-       ids (reverse topological): a gate's table reads only its
-       successors' delays and tables, so it is stale iff some successor
-       has a changed delay or a changed table. Primary-output gates'
-       tables are constant. A changed delay refreshes the gate's
-       brackets before any driver (a smaller id) reads them. Cutoff: a
-       recomputed table that is bit-identical does not dirty its
-       drivers. *)
-    for id = n - 1 downto 0 do
-      if Incr_sta.delay_changed sta id then
-        t.brackets.(id) <-
-          Analysis.ws_brackets ~samples:t.samples ~delay:(Incr_sta.delay sta id);
-      (* [ws_ctx] is [Some] exactly on the non-input, non-PO gates *)
-      match t.ws_ctx.(id) with
-      | None -> ()
-      | Some ctx ->
-        let nd = Circuit.node c id in
-        let stale = ref false in
-        Array.iter
-          (fun s ->
-            if Incr_sta.delay_changed sta s || table_changed.(s) then
-              stale := true)
-          nd.Circuit.fanout;
-        if !stale then begin
-          t.stats.tables_recomputed <- t.stats.tables_recomputed + 1;
-          let succs = Analysis.ws_ctx_succs ctx in
-          let brackets = Array.map (fun s -> t.brackets.(s)) succs in
-          let tbl =
-            Analysis.ws_table_ctx ctx ~samples:t.samples ~n_pos:t.n_pos
-              ~brackets ~tables:t.tables c id
-          in
-          if same_matrix tbl t.tables.(id) then
-            t.stats.tables_cutoff <- t.stats.tables_cutoff + 1
-          else begin
-            t.tables.(id) <- tbl;
-            table_changed.(id) <- true
-          end
-        end
-    done;
-    (* 5. per-gate unreliability (and switching energy) wherever the
-       cell, the node load, or the WS table actually changed *)
-    for id = 0 to n - 1 do
-      let moved = cell_changed.(id) || Incr_sta.load_changed sta id in
-      if (moved || table_changed.(id)) && not (Circuit.is_input c id) then begin
-        t.stats.gates_recomputed <- t.stats.gates_recomputed + 1;
-        if moved then begin
-          (* only a cell or load change moves the generated glitch
-             widths and the switching energy; a table-only change
-             reuses the cached pair *)
-          let cell = Incr_sta.cell sta id in
-          let load = Incr_sta.load sta id in
-          let node_cap = load +. Library.output_cap t.lib cell in
-          let wl, wh = memo_glitch t cell ~node_cap in
-          t.glitch_low.(id) <- wl;
-          t.glitch_high.(id) <- wh;
-          t.dyn_energy.(id) <- Library.switching_energy t.lib cell ~cload:load
-        end;
-        let wi, wij, u =
-          gate_unrel t id ~w_low:t.glitch_low.(id) ~w_high:t.glitch_high.(id)
-        in
-        t.gen_width.(id) <- wi;
-        t.expected_width.(id) <- wij;
-        let old_u = t.unreliability.(id) in
-        if not (same_bits u old_u) then begin
-          kahan_add t (u -. old_u);
-          t.unreliability.(id) <- u
-        end
-      end
-    done
-    end
-  end
+  List.filter_map
+    (fun (g, _) ->
+      match Hashtbl.find_opt last g with
+      | None -> None
+      | Some cell ->
+        Hashtbl.remove last g;
+        if Cell_params.equal (Incr_sta.cell t.sta g) cell then None
+        else Some (g, cell))
+    changes
 
-(* [update_impl] + obs: a span over the whole cone propagation and a
-   single delta flush of the engine's stats into the process-wide
-   counters (covers the [rebuild] path too, which [update_impl] may
-   take). The cone-size histogram records how many gates the forward
-   STA pass actually visited per incremental update. *)
+(* When one batch touches a large fraction of the gates, the union of
+   the dirty cones covers nearly the whole circuit and cone propagation
+   costs more than the from-scratch pass it replays — rebuild wholesale
+   instead. Either path yields the same bit-identical state. The span
+   covers the whole update; the cone-size histogram records how many
+   gates the forward STA pass visited per incremental update. *)
 let update t changes =
-  let s = t.stats in
-  let b_updates = s.updates
-  and b_cells = s.cells_changed
-  and b_sta = s.sta_recomputed
-  and b_sta_cut = s.sta_cutoff
-  and b_tbl = s.tables_recomputed
-  and b_tbl_cut = s.tables_cutoff
-  and b_gates = s.gates_recomputed
-  and b_rebuilds = s.full_rebuilds in
-  let sp = Obs.Trace.start "incr.update" in
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Trace.finish sp;
-      let d c now before = if now > before then Obs.Metrics.add c (now - before) in
-      d m_updates s.updates b_updates;
-      d m_cells s.cells_changed b_cells;
-      d m_sta s.sta_recomputed b_sta;
-      d m_sta_cut s.sta_cutoff b_sta_cut;
-      d m_tbl s.tables_recomputed b_tbl;
-      d m_tbl_cut s.tables_cutoff b_tbl_cut;
-      d m_gates s.gates_recomputed b_gates;
-      if s.updates > b_updates && s.full_rebuilds = b_rebuilds then
-        Obs.Metrics.observe m_cone (s.sta_recomputed - b_sta))
-    (fun () -> update_impl t changes)
+  Obs.Trace.with_span "incr.update" @@ fun () ->
+  match effective_changes t changes with
+  | [] -> ()
+  | changes ->
+    let k = List.length changes in
+    Obs.Metrics.incr m_updates;
+    Obs.Metrics.add m_cells k;
+    if k > max 8 (Circuit.gate_count t.circuit / 8) then rebuild t changes
+    else propagate t changes
 
 let set_cell t g cell = update t [ (g, cell) ]
 
@@ -555,7 +414,6 @@ let total t =
      with the exact sequential fold to ~1 ulp; a larger gap means
      cancellation damage, so snap the running value back *)
   if Float.abs (t.kahan_sum -. r) > 1e-9 *. (Float.abs r +. 1.) then begin
-    t.stats.drift_snaps <- t.stats.drift_snaps + 1;
     Obs.Metrics.incr m_drift;
     t.kahan_sum <- r;
     t.kahan_c <- 0.
@@ -608,10 +466,10 @@ let snapshot t =
     expected_width = Array.copy t.expected_width;
     unreliability = Array.copy t.unreliability;
     total = total t;
-    samples = t.samples;
+    samples = t.cx.Analysis.grid;
     tables = Array.copy t.tables;
+    context = t.cx;
   }
 
-let stats t = t.stats
 let memo_stats t = Memo.stats t.memo
 let memo t = t.memo

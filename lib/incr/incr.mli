@@ -17,15 +17,16 @@
     - {e per-gate unreliability / switching energy}: only where the
       cell, the node load, or the WS table actually changed.
 
-    Every recomputation replays the corresponding from-scratch kernel
-    ({!Ser_sta.Timing.eval_gate},
-    {!Aserta.Analysis.ws_table}, {!Aserta.Analysis.gate_unreliability})
-    with bit-identical inputs, and the aggregate metrics are exact
-    sequential re-folds in the same order as the from-scratch code, so
-    the results are {e bit-identical} to a full re-analysis — not
-    approximately equal. A compensated (Kahan) running total of the
-    unreliability is maintained across updates as a drift diagnostic
-    and snapped back to the authoritative re-fold when it disagrees.
+    Every recomputation calls the one from-scratch kernel
+    ({!Ser_sta.Timing.eval_gate}, {!Aserta.Analysis.ws_table},
+    {!Aserta.Analysis.gate_unreliability}) with bit-identical inputs and
+    the analysis's own {!Aserta.Analysis.context}, and the aggregate
+    metrics are exact sequential re-folds in the same order as the
+    from-scratch code, so the results are {e bit-identical} to a full
+    re-analysis — not approximately equal. A compensated (Kahan)
+    running total of the unreliability is maintained across updates as
+    a drift diagnostic and snapped back to the authoritative re-fold
+    when it disagrees.
 
     Handles are cheap to {!fork} (copy-on-write: array spines are
     copied, the immutable per-gate rows are shared), which is how the
@@ -51,20 +52,6 @@ type t
 (** One incremental evaluation state. Mutable; not itself thread-safe —
     mutate a given handle from one domain at a time (forks are
     independent). *)
-
-type stats = {
-  mutable updates : int;  (** {!update} calls that changed anything *)
-  mutable cells_changed : int;
-  mutable sta_recomputed : int;  (** gates whose timing was re-evaluated *)
-  mutable sta_cutoff : int;  (** of which: output bit-unchanged, cone cut *)
-  mutable tables_recomputed : int;
-  mutable tables_cutoff : int;
-  mutable gates_recomputed : int;  (** per-gate unreliability re-evaluations *)
-  mutable drift_snaps : int;  (** compensated total snapped to the re-fold *)
-  mutable full_rebuilds : int;
-      (** updates whose change set was so large that a from-scratch
-          re-analysis was cheaper than cone propagation *)
-}
 
 type metrics = {
   m_unreliability : float;  (** U, the exact sequential re-fold *)
@@ -138,6 +125,5 @@ val snapshot : t -> Aserta.Analysis.t
 (** Materialise a full analysis record equal (bit for bit) to
     [Analysis.run_electrical config lib (assignment t) masking]. *)
 
-val stats : t -> stats
 val memo_stats : t -> Memo.stats
 val memo : t -> Memo.t

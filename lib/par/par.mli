@@ -116,27 +116,10 @@ val parallel_reduce :
 
 (** {1 Instrumentation}
 
-    Cumulative counters over every section since start (or
-    {!reset_stats}), surfaced through the diagnostics layer so speedup
-    regressions are observable in the field. *)
-
-type stats = {
-  jobs : int;  (** current effective worker count *)
-  sections : int;  (** parallel sections executed on the pool *)
-  sequential_sections : int;
-      (** sections that ran inline (jobs = 1, nested, or pool busy) *)
-  chunks : int;  (** chunks executed by pool sections *)
-  stolen_chunks : int;
-      (** chunks claimed by spawned workers (slot > 0) rather than the
-          calling domain *)
-  busy : float array;
-      (** per-slot busy seconds inside sections, index 0 = caller *)
-}
-
-val stats : unit -> stats
-val reset_stats : unit -> unit
-
-val stats_diag : unit -> Ser_util.Diag.t
-(** An [Info]-severity diagnostic summarising {!stats}. *)
-
-val stats_json : unit -> Ser_util.Json.t
+    Every section records into the process-wide {!Ser_obs.Obs.Metrics}
+    registry: counters [par.sections] (ran on the pool),
+    [par.sequential_sections] (ran inline: jobs = 1, nested, or pool
+    busy), [par.chunks] and [par.stolen_chunks] (claimed by a spawned
+    worker rather than the caller), the histogram [par.section_chunks],
+    and per-slot busy-seconds gauges [par.busy_s.slotN] (slot 0 = the
+    caller). *)

@@ -19,12 +19,8 @@ type config = {
   default_deadline_s : float option;
   cache_entries : int;
   cache_dir : string option;
-  cache_writer : (string -> string -> unit) option;
   pool_entries : int;
   replay_entries : int;
-  worker_exe : string option;
-  make_worker :
-    (Ser_cli.Request.t -> spool:string -> Ser_jobs.Supervisor.job) option;
   worker_timeout_s : float;
   worker_retries : int;
   spool_dir : string option;
@@ -40,11 +36,8 @@ let default ~socket =
     default_deadline_s = None;
     cache_entries = 256;
     cache_dir = None;
-    cache_writer = None;
     pool_entries = 4;
     replay_entries = 128;
-    worker_exe = None;
-    make_worker = None;
     worker_timeout_s = 120.;
     worker_retries = 1;
     spool_dir = None;
@@ -426,14 +419,8 @@ let run_isolated st (req : Request.t) ~deadline_left =
     Error (Wire.Internal, d)
   | Ok () -> (
     let job =
-      match st.cfg.make_worker with
-      | Some f -> f req ~spool
-      | None ->
-        let exe =
-          Option.value st.cfg.worker_exe ~default:Sys.executable_name
-        in
-        Supervisor.job ~id:"req"
-          [| exe; "worker"; "--req-file"; spool |]
+      Supervisor.job ~id:"req"
+        [| Sys.executable_name; "worker"; "--req-file"; spool |]
     in
     let timeout_s =
       match deadline_left with
@@ -750,8 +737,7 @@ let run ?on_ready ?(stop = fun () -> false) cfg =
     Error d
   | Ok listeners ->
     let cache, cache_diags =
-      Cache.create ~max_entries:cfg.cache_entries ?dir:cfg.cache_dir
-        ?writer:cfg.cache_writer ()
+      Cache.create ~max_entries:cfg.cache_entries ?dir:cfg.cache_dir ()
     in
     let st =
       {

@@ -4,9 +4,10 @@
     One single-threaded event loop owns the sockets, the admission
     queue, the {!Cache} and the warm {!Pool}; heavy work runs either
     inline on warm handles (analyze / rate) or isolated in a
-    {!Ser_jobs.Supervisor} worker process (optimize, and anything with
-    [isolate = true]), so a crashing or hanging evaluation kills one
-    child, never the daemon.
+    {!Ser_jobs.Supervisor} worker process, the daemon's own executable
+    in [worker] mode (optimize, and anything with [isolate = true]), so
+    a crashing or hanging evaluation kills one child, never the
+    daemon.
 
     Robustness contract, in protocol terms:
 
@@ -43,16 +44,8 @@ type config = {
       (** applied to requests that carry no [deadline_s] *)
   cache_entries : int;
   cache_dir : string option;  (** persistence directory; [None] = memory only *)
-  cache_writer : (string -> string -> unit) option;
-      (** fault-injection hook forwarded to {!Cache.create} *)
   pool_entries : int;
   replay_entries : int;  (** idempotency window size *)
-  worker_exe : string option;
-      (** binary for isolated evaluation; [None] = current executable *)
-  make_worker :
-    (Ser_cli.Request.t -> spool:string -> Ser_jobs.Supervisor.job) option;
-      (** test hook replacing the worker command line; the request JSON
-          is already spooled at [spool] *)
   worker_timeout_s : float;  (** isolated-attempt watchdog *)
   worker_retries : int;
   spool_dir : string option;

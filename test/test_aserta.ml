@@ -404,6 +404,187 @@ let test_measured_rejects_pi () =
     Alcotest.fail "PI strike accepted"
   with Invalid_argument _ -> ()
 
+(* ------------- reference electrical pass (the oracle) ------------- *)
+
+(* The electrical pass written out plainly, one gate at a time: the
+   standalone WS-table loop and the per-output [Lut.interpolate_1d]
+   unreliability. [Analysis.run_electrical] hoists and parallelises
+   this computation; the property below holds it to these bits. *)
+module Probs = Ser_logicsim.Probs
+module Lut = Ser_table.Lut
+module Floatx = Ser_util.Floatx
+
+let unique_successors (c : Circuit.t) id =
+  let seen = Hashtbl.create 4 in
+  Array.to_list (Circuit.node c id).Circuit.fanout
+  |> List.filter (fun s ->
+         if Hashtbl.mem seen s then false
+         else begin
+           Hashtbl.replace seen s ();
+           true
+         end)
+
+let reference_ws_table (config : Analysis.config) (masking : Analysis.masking)
+    ~samples:ws ~po_pos ~delays ~tables (c : Circuit.t) id =
+  let n_pos = Array.length c.Circuit.outputs in
+  let n_samples = Array.length ws in
+  let p = masking.Analysis.path_probs.Probs.p in
+  let t = Array.make_matrix n_pos n_samples 0. in
+  if po_pos.(id) >= 0 then Array.blit ws 0 t.(po_pos.(id)) 0 n_samples
+  else begin
+    let succs = Array.of_list (unique_successors c id) in
+    let n_succ = Array.length succs in
+    let sens =
+      Array.map
+        (fun s ->
+          Probs.sensitization_to_driver c ~probs:masking.Analysis.probs
+            ~gate:s ~driver:id)
+        succs
+    in
+    let lo = Array.make_matrix n_succ n_samples (-1) in
+    let fr = Array.make_matrix n_succ n_samples 0. in
+    for si = 0 to n_succ - 1 do
+      for k = 0 to n_samples - 1 do
+        let wo = Glitch.propagate ~delay:delays.(succs.(si)) ~width:ws.(k) in
+        if wo > 0. then begin
+          let b = Floatx.binary_search_bracket ws wo in
+          let woc = Floatx.clamp ~lo:ws.(0) ~hi:ws.(n_samples - 1) wo in
+          lo.(si).(k) <- b;
+          fr.(si).(k) <- Floatx.inv_lerp ws.(b) ws.(b + 1) woc
+        end
+      done
+    done;
+    for j = 0 to n_pos - 1 do
+      let pij = p.(id).(j) in
+      if pij > 0. then begin
+        let denom =
+          match config.Analysis.split with
+          | Analysis.Naive -> 1.
+          | Analysis.Normalized ->
+            let acc = ref 0. in
+            for si = 0 to n_succ - 1 do
+              acc := !acc +. (sens.(si) *. p.(succs.(si)).(j))
+            done;
+            !acc
+        in
+        if denom > 0. then
+          for si = 0 to n_succ - 1 do
+            let psj = p.(succs.(si)).(j) in
+            let weight =
+              match config.Analysis.split with
+              | Analysis.Normalized -> sens.(si) *. pij /. denom
+              | Analysis.Naive -> sens.(si) *. psj
+            in
+            if weight > 0. && psj > 0. then
+              for k = 0 to n_samples - 1 do
+                let b = lo.(si).(k) in
+                if b >= 0 then begin
+                  let s_row = tables.(succs.(si)).(j) in
+                  let v = Floatx.lerp s_row.(b) s_row.(b + 1) fr.(si).(k) in
+                  t.(j).(k) <- t.(j).(k) +. (weight *. v)
+                end
+              done
+          done
+      end
+    done
+  end;
+  t
+
+(* (tables, expected_width, unreliability, total) *)
+let reference_pass config lib asg masking =
+  let c = A.circuit asg in
+  let n = Circuit.node_count c in
+  let n_pos = Array.length c.Circuit.outputs in
+  let timing = Ser_sta.Timing.analyze ~env:config.Analysis.env lib asg in
+  let ws = Analysis.sample_widths config in
+  let po_pos = Array.make n (-1) in
+  Array.iteri (fun pos id -> po_pos.(id) <- pos) c.Circuit.outputs;
+  let tables = Array.make n [||] in
+  (* successors have larger ids: descending order is reverse topological *)
+  for id = n - 1 downto 0 do
+    if not (Circuit.is_input c id) then
+      tables.(id) <-
+        reference_ws_table config masking ~samples:ws ~po_pos
+          ~delays:timing.Ser_sta.Timing.delays ~tables c id
+  done;
+  let expected_width = Array.make n [||] in
+  let unreliability = Array.make n 0. in
+  for id = 0 to n - 1 do
+    if Circuit.is_input c id then expected_width.(id) <- Array.make n_pos 0.
+    else begin
+      let cell = A.get asg id in
+      let node_cap =
+        timing.Ser_sta.Timing.loads.(id) +. L.output_cap lib cell
+      in
+      let glitch output_low =
+        L.generated_glitch_width lib cell ~node_cap
+          ~charge:config.Analysis.charge ~output_low
+      in
+      let p1 = masking.Analysis.probs.(id) in
+      let wi = ((1. -. p1) *. glitch true) +. (p1 *. glitch false) in
+      let wij =
+        Array.init n_pos (fun j ->
+            if po_pos.(id) = j then wi
+            else Lut.interpolate_1d ~xs:ws ~ys:tables.(id).(j) wi)
+      in
+      expected_width.(id) <- wij;
+      unreliability.(id) <- L.area lib cell *. Floatx.sum wij
+    end
+  done;
+  let total = ref 0. in
+  Array.iter (fun u -> total := !total +. u) unreliability;
+  (tables, expected_width, unreliability, !total)
+
+let bits = Int64.bits_of_float
+let same_row a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+let electrical_matches_reference_prop =
+  QCheck.Test.make ~count:10
+    ~name:"run_electrical = reference pass, bit for bit"
+    QCheck.(triple (int_bound 10_000) (int_range 10 60) (int_range 2 6))
+    (fun (seed, n_gates, depth) ->
+      let profile =
+        {
+          Ser_circuits.Iscas.pr_name = "rnd";
+          pr_inputs = 4 + (seed mod 5);
+          pr_outputs = 2 + (seed mod 3);
+          pr_gates = n_gates;
+          pr_depth = depth;
+          pr_xor_heavy = seed mod 4 = 0;
+        }
+      in
+      let c = Ser_circuits.Iscas.synthesize ~seed:(seed + 1) profile in
+      let lib = L.create () in
+      let asg = A.uniform lib c in
+      List.for_all
+        (fun (split, masking_backend) ->
+          let config =
+            {
+              Analysis.default_config with
+              Analysis.vectors = 300;
+              seed = seed + 1;
+              split;
+              masking_backend;
+            }
+          in
+          let masking = Analysis.compute_masking config c in
+          let a = Analysis.run_electrical config lib asg masking in
+          let tables, expected_width, unreliability, total =
+            reference_pass config lib asg masking
+          in
+          Array.for_all2 (Array.for_all2 same_row) a.Analysis.tables tables
+          && Array.for_all2 same_row a.Analysis.expected_width expected_width
+          && same_row a.Analysis.unreliability unreliability
+          && bits a.Analysis.total = bits total)
+        [
+          (Analysis.Normalized, Analysis.Monte_carlo);
+          (Analysis.Normalized, Analysis.Analytic_masking);
+          (Analysis.Naive, Analysis.Monte_carlo);
+          (Analysis.Naive, Analysis.Analytic_masking);
+        ])
+
 let () =
   Alcotest.run "aserta"
     [
@@ -447,4 +628,6 @@ let () =
           Alcotest.test_case "per-gate sums" `Quick test_measured_per_gate_sums;
           Alcotest.test_case "rejects PI" `Quick test_measured_rejects_pi;
         ] );
+      ( "oracle",
+        [ QCheck_alcotest.to_alcotest electrical_matches_reference_prop ] );
     ]

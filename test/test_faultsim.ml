@@ -6,7 +6,7 @@
 module H = Ser_faultsim.Harness
 module Diag = Ser_util.Diag
 
-let results = lazy (H.run_all ())
+let results = lazy (H.run_all ~sertool:(Sertool_exe.get ()))
 
 let test_catalogue_size () =
   let n = List.length (Lazy.force results) in
@@ -123,6 +123,47 @@ let analysis_sane_prop =
         && Float.is_finite t.Aserta.Analysis.total
         && t.Aserta.Analysis.total >= 0.)
 
+(* ------------- no fork in a process that may hold domains ------------- *)
+
+(* OCaml 5 refuses to fork once other domains exist, and any library
+   function may run after the pool has spawned, so no source under lib/
+   may mention it at all. The sources are the copies dune keeps next
+   to the built libraries. *)
+let test_no_fork_in_lib () =
+  let forbidden = "Unix" ^ ".fork" in
+  let contains text =
+    let n = String.length forbidden in
+    let rec at i =
+      i + n <= String.length text
+      && (String.sub text i n = forbidden || at (i + 1))
+    in
+    at 0
+  in
+  let rec sources dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.concat_map (fun e ->
+           let p = Filename.concat dir e in
+           if Sys.is_directory p then sources p
+           else if
+             Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli"
+           then [ p ]
+           else [])
+  in
+  let lib =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "lib")
+  in
+  let files = sources lib in
+  Alcotest.(check bool)
+    (Printf.sprintf "lib/ sources found (got %d)" (List.length files))
+    true
+    (List.length files >= 40);
+  List.iter
+    (fun f ->
+      if contains (In_channel.with_open_bin f In_channel.input_all) then
+        Alcotest.failf "%s mentions %s" f forbidden)
+    files
+
 let () =
   Alcotest.run "faultsim"
     [
@@ -144,4 +185,8 @@ let () =
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest analysis_sane_prop ] );
+      ( "lib",
+        [
+          Alcotest.test_case "no fork under lib/" `Quick test_no_fork_in_lib;
+        ] );
     ]

@@ -1,6 +1,6 @@
 (* lib/serve: the framing codec is total, cache keys are
    content-addressed and order-invariant, the LRU and its persistence
-   behave, the request/response codecs round-trip, and a live forked
+   behave, the request/response codecs round-trip, and a live spawned
    daemon serves, caches and replays. *)
 
 module Frame = Ser_serve.Frame
@@ -270,20 +270,6 @@ let test_wire_roundtrip () =
 
 (* ----------------------- end-to-end daemon ------------------------- *)
 
-let fork_server cfg =
-  match Unix.fork () with
-  | 0 ->
-    (try
-       Ser_par.Par.set_jobs 1;
-       let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-       Unix.dup2 devnull Unix.stdout;
-       Unix.dup2 devnull Unix.stderr;
-       Unix.close devnull;
-       ignore (Server.run cfg)
-     with _ -> ());
-    Unix._exit 0
-  | pid -> pid
-
 let client_opts =
   { Client.default_opts with Client.request_timeout_s = 60.; retries = 2 }
 
@@ -304,15 +290,12 @@ let test_daemon_smoke () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let socket = Filename.concat dir "d.sock" in
-      let cfg =
-        {
-          (Server.default ~socket) with
-          Server.cache_dir = Some (Filename.concat dir "cache");
-          spool_dir = Some dir;
-        }
-      in
       let addr = Server.Unix_sock socket in
-      let pid = fork_server cfg in
+      let pid =
+        Ser_faultsim.Harness.spawn_serve ~sertool:(Sertool_exe.get ()) ~socket
+          ~spool_dir:dir
+          [ "--cache-dir"; Filename.concat dir "cache" ]
+      in
       let finish () =
         (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
         try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
