@@ -711,6 +711,15 @@ let shard_bench () =
 
 let serve_bench () =
   section "Serve daemon (lib/serve): cold vs cache-hit latency";
+  let sertool =
+    match Sys.getenv_opt "SERTOOL_EXE" with
+    | Some p when p <> "" -> p
+    | _ ->
+      Printf.eprintf
+        "FATAL: bench serve starts the daemon from SERTOOL_EXE, which is \
+         unset (e.g. SERTOOL_EXE=_build/default/bin/sertool.exe)\n";
+      exit 1
+  in
   let module Server = Ser_serve.Server in
   let module Client = Ser_serve.Client in
   let module Wire = Ser_serve.Wire in
@@ -730,22 +739,10 @@ let serve_bench () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let socket = Filename.concat dir "d.sock" in
-      let cfg =
-        { (Server.default ~socket) with Server.spool_dir = Some dir }
-      in
+      (* the daemon is a [sertool serve] child, never a fork of this
+         process, which may already hold pool domains *)
       let pid =
-        match Unix.fork () with
-        | 0 ->
-          (try
-             Ser_par.Par.set_jobs 1;
-             let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-             Unix.dup2 devnull Unix.stdout;
-             Unix.dup2 devnull Unix.stderr;
-             Unix.close devnull;
-             ignore (Server.run cfg)
-           with _ -> ());
-          Unix._exit 0
-        | pid -> pid
+        Ser_faultsim.Harness.spawn_serve ~sertool ~socket ~spool_dir:dir []
       in
       Fun.protect
         ~finally:(fun () ->

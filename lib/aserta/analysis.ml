@@ -213,12 +213,11 @@ let context config masking (c : Circuit.t) =
 
 let no_brackets = ([||], [||])
 
-(* The Eq-1 attenuation brackets of the sample grid through one
+(* The Eq-1 attenuation brackets of a sample grid through one
    successor delay: for each sample width, the interpolation bracket of
    the attenuated width (or -1 when fully attenuated) and its fraction.
    Depends only on [delay] and the grid. *)
-let ws_brackets cx ~delay =
-  let ws = cx.grid in
+let ws_brackets ws ~delay =
   let n_samples = Array.length ws in
   let lo = Array.make n_samples (-1) in
   let fr = Array.make n_samples 0. in
@@ -326,7 +325,7 @@ let electrical ?cx config lib asg masking =
       let brackets =
         Array.init n (fun id ->
             if Circuit.is_input c id then no_brackets
-            else ws_brackets cx ~delay:timing.Timing.delays.(id))
+            else ws_brackets cx.grid ~delay:timing.Timing.delays.(id))
       in
       Array.iter
         (fun ids ->
@@ -443,7 +442,7 @@ let successor_weight t ~gate ~succ ~po =
 
 let expected_width_at t ~gate ~po ~width =
   if Circuit.is_input t.circuit gate then 0.
-  else if Circuit.output_index t.circuit gate = Some po then Float.max 0. width
+  else if t.context.po_pos.(gate) = po then Float.max 0. width
   else begin
     let rows = t.tables.(gate) in
     if Array.length rows = 0 then 0.

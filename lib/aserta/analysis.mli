@@ -175,11 +175,15 @@ val run_electrical_with :
     config, masking and circuit (e.g. an earlier analysis's
     [context]); bit-identical to {!run_electrical}. *)
 
-val ws_brackets : context -> delay:float -> int array * float array
-(** The Eq-1 attenuation of the sample grid through one gate delay: per
-    sample, the interpolation bracket of the attenuated width ([-1]
-    when fully attenuated) and its fraction. A pure function of the
-    delay and the grid. *)
+val ws_brackets : float array -> delay:float -> int array * float array
+(** [ws_brackets grid ~delay]: the Eq-1 attenuation of a sample grid
+    (ascending, >= 2 entries) through one gate delay: per sample, the
+    interpolation bracket of the attenuated width on [grid] ([-1] when
+    fully attenuated) and its fraction. A pure function of the delay
+    and the grid; one [lerp] over a bracket is bit-identical to
+    [Lut.interpolate_1d] at the attenuated width. The one bracket
+    kernel, shared by the WS tables here and the propagation profiles
+    of [Ser_serpp.Serpp]. *)
 
 val ws_table :
   context ->

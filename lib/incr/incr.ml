@@ -11,20 +11,6 @@ module Incr_sta = Ser_sta.Incr_sta
 
 let same_bits = Ser_util.Floatx.same_bits
 
-let same_row a b =
-  a == b
-  ||
-  let n = Array.length a in
-  Array.length b = n
-  &&
-  let ok = ref true in
-  let k = ref 0 in
-  while !ok && !k < n do
-    if not (same_bits a.(!k) b.(!k)) then ok := false;
-    incr k
-  done;
-  !ok
-
 let same_matrix a b =
   a == b
   ||
@@ -34,7 +20,7 @@ let same_matrix a b =
   let ok = ref true in
   let j = ref 0 in
   while !ok && !j < n do
-    if not (same_row a.(!j) b.(!j)) then ok := false;
+    if not (Ser_util.Floatx.same_bits_array a.(!j) b.(!j)) then ok := false;
     incr j
   done;
   !ok
@@ -175,7 +161,7 @@ let adopt t (a : Analysis.t) =
       t.glitch_low.(id) <- wl;
       t.glitch_high.(id) <- wh;
       t.brackets.(id) <-
-        Analysis.ws_brackets t.cx ~delay:(Incr_sta.delay t.sta id)
+        Analysis.ws_brackets t.cx.Analysis.grid ~delay:(Incr_sta.delay t.sta id)
     end
   done;
   t.kahan_sum <- refold t;
@@ -253,8 +239,7 @@ let validate t g (cell : Cell_params.t) =
    instead. Either path yields the same bit-identical state. *)
 let rebuild t changes =
   Obs.Metrics.incr m_rebuilds;
-  Incr_sta.try_cells t.sta changes;
-  Incr_sta.commit t.sta;
+  Incr_sta.apply_cells t.sta changes;
   adopt t
     (Analysis.run_electrical_with t.cx t.config t.lib
        (Incr_sta.assignment t.sta) t.masking)
@@ -268,8 +253,7 @@ let propagate t changes =
   (* 1-3. cell writes, loads of the fan-in nets and the forward STA
      over the fanout cone, with bitwise cutoff: the STA handle *)
   let evals0 = Incr_sta.gate_evals sta and cut0 = Incr_sta.cutoffs sta in
-  Incr_sta.try_cells sta changes;
-  Incr_sta.commit sta;
+  Incr_sta.apply_cells sta changes;
   let cell_changed = Array.make n false in
   let table_changed = Array.make n false in
   List.iter
@@ -290,7 +274,7 @@ let propagate t changes =
   for id = n - 1 downto 0 do
     if Incr_sta.delay_changed sta id then
       t.brackets.(id) <-
-        Analysis.ws_brackets t.cx ~delay:(Incr_sta.delay sta id);
+        Analysis.ws_brackets t.cx.Analysis.grid ~delay:(Incr_sta.delay sta id);
     match t.cx.Analysis.ws_ctx.(id) with
     | None -> ()
     | Some ctx ->

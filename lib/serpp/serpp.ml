@@ -4,7 +4,7 @@ module Library = Ser_cell.Library
 module Assignment = Ser_sta.Assignment
 module Timing = Ser_sta.Timing
 module Lut = Ser_table.Lut
-module Glitch = Aserta.Glitch
+module Analysis = Aserta.Analysis
 module Obs = Ser_obs.Obs
 
 let m_analyses = Obs.Metrics.counter "serpp.analyses"
@@ -29,19 +29,29 @@ let default_config =
     env = Timing.default_env;
   }
 
+(* The assignment-independent part of a pass, built once per (circuit,
+   config). *)
+type context = {
+  probs : float array;
+  grid : float array;
+  is_po : bool array;
+  succs : int array array;
+  sens : float array array;
+  profile_cap : float;
+  latch_row : float array;
+}
+
 type t = {
   config : config;
   circuit : Circuit.t;
-  probs : float array;
   timing : Timing.t;
-  samples : float array;
-  profile_cap : float;
   profiles : float array array;
   areas : float array;
   gen_width : float array;
   propagated : float array;
   estimate : float array;
   total : float;
+  context : context;
 }
 
 let sample_widths config =
@@ -74,65 +84,110 @@ let latch_cap config =
   | None -> config.max_sample_width
   | Some w -> Float.min w config.max_sample_width
 
+let context config (c : Circuit.t) =
+  let n = Circuit.node_count c in
+  let probs = Probs.signal_probabilities ?pi_probs:config.pi_probs c in
+  let is_po = Timing.po_mask c in
+  let succs = Array.make n [||] and sens = Array.make n [||] in
+  for id = 0 to n - 1 do
+    if not (Circuit.is_input c id || is_po.(id)) then begin
+      let live =
+        List.filter_map
+          (fun s ->
+            let v = Probs.sensitization_to_driver c ~probs ~gate:s ~driver:id in
+            if v > 0. then Some (s, v) else None)
+          (successors_by_name c id)
+      in
+      succs.(id) <- Array.of_list (List.map fst live);
+      sens.(id) <- Array.of_list (List.map snd live)
+    end
+  done;
+  let grid = sample_widths config in
+  let latch = latch_cap config in
+  {
+    probs;
+    grid;
+    is_po;
+    succs;
+    sens;
+    profile_cap = float_of_int (Array.length c.outputs) *. latch;
+    latch_row = Array.map (fun w -> Float.min w latch) grid;
+  }
+
+let profile_row cx ~brackets ~profiles id =
+  let n_samples = Array.length cx.grid in
+  let row = Array.make n_samples 0. in
+  let succs = cx.succs.(id) and sens = cx.sens.(id) in
+  for si = 0 to Array.length succs - 1 do
+    let s = succs.(si) in
+    let w = sens.(si) in
+    let s_prof = profiles.(s) in
+    let lo, fr = brackets.(s) in
+    (* the lerp written out, as in [Analysis.ws_table]: a call across
+       modules would box every float *)
+    for k = 0 to n_samples - 1 do
+      let b = Array.unsafe_get lo k in
+      if b >= 0 then begin
+        let y0 = Array.unsafe_get s_prof b in
+        let y1 = Array.unsafe_get s_prof (b + 1) in
+        let v = y0 +. (Array.unsafe_get fr k *. (y1 -. y0)) in
+        Array.unsafe_set row k (Array.unsafe_get row k +. (w *. v))
+      end
+    done
+  done;
+  (* saturate: reconvergent fan-out counts a path family more than
+     once, and without the cap the over-count could compound level by
+     level *)
+  for k = 0 to n_samples - 1 do
+    if row.(k) > cx.profile_cap then row.(k) <- cx.profile_cap
+  done;
+  row
+
+let gen_width cx lib ~charge cell ~load id =
+  let node_cap = load +. Library.output_cap lib cell in
+  let w_low =
+    Library.generated_glitch_width lib cell ~node_cap ~charge ~output_low:true
+  in
+  let w_high =
+    Library.generated_glitch_width lib cell ~node_cap ~charge ~output_low:false
+  in
+  let p1 = cx.probs.(id) in
+  ((1. -. p1) *. w_low) +. (p1 *. w_high)
+
+let gate_estimate cx ~profile ~gen_width ~area =
+  let prop = Lut.interpolate_1d ~xs:cx.grid ~ys:profile gen_width in
+  (prop, area *. prop)
+
 let run ?(config = default_config) lib asg =
   let c = Assignment.circuit asg in
   let n = Circuit.node_count c in
-  let n_pos = Array.length c.outputs in
   Obs.Metrics.incr m_analyses;
   let timing =
     Obs.Trace.with_span "serpp.sta" (fun () ->
         Timing.analyze ~env:config.env lib asg)
   in
-  let probs = Probs.signal_probabilities ?pi_probs:config.pi_probs c in
-  let ws = sample_widths config in
-  let n_samples = Array.length ws in
-  let profile_cap = float_of_int n_pos *. latch_cap config in
+  let cx = Obs.Trace.with_span "serpp.context" (fun () -> context config c) in
   let profiles = Array.make n [||] in
-  let delays = timing.Timing.delays in
   (* one reverse-topological pass: descending ids visit every gate
      after all of its successors (the builder assigns ids in creation
      order, so a reader always has a larger id than its drivers) *)
   let prof_sp = Obs.Trace.start "serpp.profiles" in
+  let brackets = Array.make n ([||], [||]) in
   for id = n - 1 downto 0 do
-    if not (Circuit.is_input c id) then
-      if Circuit.is_output c id then begin
-        (* the flip-flop boundary: a PO gate's glitch goes straight to
-           its own latch (and, as in ASERTA, to no other output),
-           derated by the latching window when one is configured *)
-        let cap = latch_cap config in
-        profiles.(id) <- Array.map (fun w -> Float.min w cap) ws
-      end
-      else begin
-        let row = Array.make n_samples 0. in
-        List.iter
-          (fun s ->
-            let sens =
-              Probs.sensitization_to_driver c ~probs ~gate:s ~driver:id
-            in
-            if sens > 0. then begin
-              let s_prof = profiles.(s) in
-              let ds = delays.(s) in
-              for k = 0 to n_samples - 1 do
-                let wo = Glitch.propagate ~delay:ds ~width:ws.(k) in
-                if wo > 0. then
-                  row.(k) <-
-                    row.(k)
-                    +. (sens *. Lut.interpolate_1d ~xs:ws ~ys:s_prof wo)
-              done
-            end)
-          (successors_by_name c id);
-        (* saturate: reconvergent fan-out counts a path family more
-           than once, and without the cap the over-count could compound
-           level by level *)
-        for k = 0 to n_samples - 1 do
-          if row.(k) > profile_cap then row.(k) <- profile_cap
-        done;
-        profiles.(id) <- row
-      end
+    if not (Circuit.is_input c id) then begin
+      brackets.(id) <-
+        Analysis.ws_brackets cx.grid ~delay:timing.Timing.delays.(id);
+      (* the flip-flop boundary: a PO gate's glitch goes straight to
+         its own latch (and, as in ASERTA, to no other output), derated
+         by the latching window when one is configured *)
+      profiles.(id) <-
+        (if cx.is_po.(id) then cx.latch_row
+         else profile_row cx ~brackets ~profiles id)
+    end
   done;
   Obs.Trace.finish prof_sp;
   let areas = Array.make n 0. in
-  let gen_width = Array.make n 0. in
+  let gen_widths = Array.make n 0. in
   let propagated = Array.make n 0. in
   let estimate = Array.make n 0. in
   let est_sp = Obs.Trace.start "serpp.estimate" in
@@ -141,22 +196,18 @@ let run ?(config = default_config) lib asg =
     if not (Circuit.is_input c id) then begin
       incr gate_evals;
       let cell = Assignment.get asg id in
-      let node_cap = timing.Timing.loads.(id) +. Library.output_cap lib cell in
-      let w_low =
-        Library.generated_glitch_width lib cell ~node_cap ~charge:config.charge
-          ~output_low:true
+      let wi =
+        gen_width cx lib ~charge:config.charge cell
+          ~load:timing.Timing.loads.(id) id
       in
-      let w_high =
-        Library.generated_glitch_width lib cell ~node_cap ~charge:config.charge
-          ~output_low:false
+      let area = Library.area lib cell in
+      let prop, u =
+        gate_estimate cx ~profile:profiles.(id) ~gen_width:wi ~area
       in
-      let p1 = probs.(id) in
-      let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
-      let prop = Lut.interpolate_1d ~xs:ws ~ys:profiles.(id) wi in
-      gen_width.(id) <- wi;
+      gen_widths.(id) <- wi;
       propagated.(id) <- prop;
-      areas.(id) <- Library.area lib cell;
-      estimate.(id) <- areas.(id) *. prop
+      areas.(id) <- area;
+      estimate.(id) <- u
     end
   done;
   Obs.Metrics.add m_gate_evals !gate_evals;
@@ -166,21 +217,19 @@ let run ?(config = default_config) lib asg =
   {
     config;
     circuit = c;
-    probs;
     timing;
-    samples = ws;
-    profile_cap;
     profiles;
     areas;
-    gen_width;
+    gen_width = gen_widths;
     propagated;
     estimate;
     total = !total;
+    context = cx;
   }
 
 let gate_bound t id =
   if Circuit.is_input t.circuit id then 0.
-  else t.areas.(id) *. t.profile_cap
+  else t.areas.(id) *. t.context.profile_cap
 
 let fail fmt = Ser_util.Diag.fail ~subsystem:"serpp" fmt
 

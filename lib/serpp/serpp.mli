@@ -49,22 +49,40 @@ type config = {
 
 val default_config : config
 
+type context = {
+  probs : float array;         (** signal probabilities, by node id *)
+  grid : float array;          (** the sample-width grid, ps *)
+  is_po : bool array;          (** [true] at the primary-output gates *)
+  succs : int array array;
+      (** per non-input, non-output gate: its unique successors whose
+          sensitization to it is > 0, in successor-name order; [[||]]
+          elsewhere *)
+  sens : float array array;    (** the matching sensitizations *)
+  profile_cap : float;         (** saturation value of any profile entry *)
+  latch_row : float array;
+      (** the profile of every primary-output gate (the grid derated by
+          the latching window); shared, never mutated *)
+}
+(** The assignment-independent part of a pass: it depends only on the
+    config and the circuit, so one context serves every pass and every
+    incremental update ({!Incr_serpp}) over the same circuit. *)
+
 type t = {
   config : config;
   circuit : Ser_netlist.Circuit.t;
-  probs : float array;       (** signal probabilities, by node id *)
   timing : Ser_sta.Timing.t; (** the STA pass the profiles read *)
-  samples : float array;     (** the sample-width grid, ps *)
-  profile_cap : float;       (** saturation value of any profile entry *)
   profiles : float array array;
       (** [profiles.(id).(k)]: expected latched width over all outputs
-          for a glitch of width [samples.(k)] at gate [id]; [[||]] for
-          primary inputs *)
+          for a glitch of width [context.grid.(k)] at gate [id]; [[||]]
+          for primary inputs *)
   areas : float array;       (** per-gate cell area Z_i (0 at PIs) *)
   gen_width : float array;   (** blended generated glitch width w_i, ps *)
   propagated : float array;  (** profile_i(w_i), ps *)
   estimate : float array;    (** per-gate estimate Z_i * propagated_i *)
   total : float;             (** sum of the per-gate estimates *)
+  context : context;
+      (** the pass context: the grid, signal probabilities and
+          [profile_cap] this pass used *)
 }
 
 val sample_widths : config -> float array
@@ -73,13 +91,54 @@ val sample_widths : config -> float array
 
 val gate_bound : t -> int -> float
 (** Documented upper bound of [estimate.(id)]: the gate's area times
-    {!field:profile_cap} ([n_outputs * min max_sample_width
+    [context.profile_cap] ([n_outputs * min max_sample_width
     latch_window]). 0 for primary inputs. *)
+
+val context : config -> Ser_netlist.Circuit.t -> context
+(** Build the context: signal probabilities, and the successors and
+    sensitizations of every gate. Raises [Invalid_argument] when
+    [n_samples < 2]. *)
+
+(** {1 Kernels}
+
+    The per-gate pieces {!run} is made of, shared with the incremental
+    handle {!Incr_serpp} so that a from-scratch pass and an update run
+    the same float operations in the same order. *)
+
+val profile_row :
+  context ->
+  brackets:(int array * float array) array ->
+  profiles:float array array ->
+  int ->
+  float array
+(** The propagation profile of one non-input, non-output gate: the sum
+    over its live successors [s] of [sens * profile_s(attenuate(w,
+    delay_s))], saturated at [cap]. [brackets.(s)] must be
+    {!Aserta.Analysis.ws_brackets} of the grid through [s]'s delay and
+    [profiles.(s)] its profile; nothing else is read. *)
+
+val gen_width :
+  context ->
+  Ser_cell.Library.t ->
+  charge:float ->
+  Ser_device.Cell_params.t ->
+  load:float ->
+  int ->
+  float
+(** The probability-blended generated glitch width of a gate with the
+    given cell driving [load]. *)
+
+val gate_estimate :
+  context -> profile:float array -> gen_width:float -> area:float ->
+  float * float
+(** [(profile(gen_width), area * profile(gen_width))]: the propagated
+    width and the per-gate estimate. *)
 
 val run :
   ?config:config -> Ser_cell.Library.t -> Ser_sta.Assignment.t -> t
-(** One full estimation pass. Not validated — prefer {!run_checked} at
-    API boundaries. *)
+(** One full estimation pass: {!context}, one STA, then the kernels
+    over every gate. Not validated — prefer {!run_checked} at API
+    boundaries. *)
 
 val run_checked :
   ?config:config ->

@@ -27,8 +27,9 @@ type eval_mode = Full_recompute | Incremental
 (* How the greedy menus spend the exact evaluator. [Exact] measures
    every candidate with the engine ([Incr] cone re-analysis or a full
    recompute). [Serpp_prefilter k] first ranks the whole menu with the
-   cheap propagation-probability estimate (lib/serpp: one STA pass +
-   one profile pass, no vectors) and hands only the top [k] candidates
+   cheap propagation-probability estimate (lib/serpp, no vectors: each
+   candidate is one cone update of an incremental serpp handle that
+   follows the incumbent) and hands only the top [k] candidates
    to the exact evaluator — the saved exact evaluations are counted in
    [sertopt.exact_evals_saved]. The ranking is a heuristic: the final
    accept decision still compares exact costs only, so tiering can
@@ -312,8 +313,10 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   (* Tiered menu evaluation: the cheap ranking compares candidate
      serpp costs against a serpp-measured baseline (the delay, energy
      and area components are computed by the same Timing formulas in
-     both backends, so only the unreliability anchor changes). Built
-     once, up front, only when tiering is on. *)
+     both backends, so only the unreliability anchor changes). One
+     incremental serpp handle, built once on the baseline and only when
+     tiering is on, supplies the anchor and follows the greedy
+     incumbent; each candidate is scored on a fork of it. *)
   let tier_ctx =
     match config.tier with
     | Exact -> None
@@ -326,14 +329,15 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
           pi_probs = config.aserta.Analysis.pi_probs;
         }
       in
-      let base = Ser_serpp.Serpp.run ~config:scfg lib baseline in
+      let h = Ser_serpp.Incr_serpp.create ~config:scfg lib baseline in
+      let base = Ser_serpp.Incr_serpp.metrics h in
       Some
         ( max 1 k,
-          scfg,
+          h,
           {
             baseline_metrics with
             Cost.unreliability =
-              Float.max 1e-12 base.Ser_serpp.Serpp.total;
+              Float.max 1e-12 base.Ser_serpp.Incr_serpp.unreliability;
           } )
   in
   let timing0 = baseline_analysis.Analysis.timing in
@@ -511,6 +515,9 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
              ~baseline:baseline_metrics metrics)
       in
       if !cur_cost < !best_cost then best_cost := !cur_cost;
+      (match tier_ctx with
+      | Some (_, h, _) -> Ser_serpp.Incr_serpp.sync h asg
+      | None -> ());
       for _pass = 1 to config.greedy_passes do
         let order =
           let idx =
@@ -566,29 +573,23 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
                they are the economy the budget is spent through. *)
             let cands =
               match tier_ctx with
-              | Some (k, scfg, sbase) when Array.length cands > k ->
+              | Some (k, h, sbase) when Array.length cands > k ->
                 let rank_sp = Obs.Trace.start "sertopt.tier_rank" in
                 let scores =
                   Ser_par.Par.parallel_map ~chunk:1
                     (fun cand ->
-                      let trial = Assignment.copy asg in
-                      Assignment.set trial g cand;
-                      let sp = Ser_serpp.Serpp.run ~config:scfg lib trial in
-                      let m =
-                        {
-                          Cost.unreliability = sp.Ser_serpp.Serpp.total;
-                          delay =
-                            sp.Ser_serpp.Serpp.timing
-                              .Timing.critical_delay;
-                          energy =
-                            Timing.total_energy
-                              ~env:scfg.Ser_serpp.Serpp.env
-                              ~timing:sp.Ser_serpp.Serpp.timing lib trial;
-                          area = Assignment.total_area lib trial;
-                        }
-                      in
+                      let probe = Ser_serpp.Incr_serpp.fork h in
+                      Ser_serpp.Incr_serpp.set_cell probe g cand;
+                      let m = Ser_serpp.Incr_serpp.metrics probe in
                       Cost.eval ~weights:config.weights
-                        ~delay_slack:config.delay_slack ~baseline:sbase m)
+                        ~delay_slack:config.delay_slack ~baseline:sbase
+                        {
+                          Cost.unreliability =
+                            m.Ser_serpp.Incr_serpp.unreliability;
+                          delay = m.Ser_serpp.Incr_serpp.delay;
+                          energy = m.Ser_serpp.Incr_serpp.energy;
+                          area = m.Ser_serpp.Incr_serpp.area;
+                        })
                     cands
                 in
                 Obs.Trace.finish rank_sp;
@@ -663,6 +664,9 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
               Assignment.set asg g cands.(i);
               (match engine with
               | Some e -> Ser_incr.Incr.set_cell e g cands.(i)
+              | None -> ());
+              (match tier_ctx with
+              | Some (_, h, _) -> Ser_serpp.Incr_serpp.set_cell h g cands.(i)
               | None -> ())
             | _ -> ())
           order

@@ -33,6 +33,10 @@ type t = {
      [delay_bit], for layered engines) and the propagation's own
      [dirty_bit], clear between propagations *)
   flags : Bytes.t;
+  (* the id span of the load and delay flags ([span_lo > span_hi] when
+     there are none): layered engines scan only it *)
+  mutable span_lo : int;
+  mutable span_hi : int;
   mutable gate_evals : int;
   mutable cutoffs : int;
 }
@@ -45,6 +49,11 @@ let has t id bit = Char.code (Bytes.unsafe_get t.flags id) land bit <> 0
 let set t id bit =
   Bytes.unsafe_set t.flags id
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.flags id) lor bit))
+
+let flag t id bit =
+  set t id bit;
+  if id < t.span_lo then t.span_lo <- id;
+  if id > t.span_hi then t.span_hi <- id
 
 let clear_dirty t id =
   Bytes.unsafe_set t.flags id
@@ -75,6 +84,8 @@ let of_timing ?(env = Timing.default_env) lib asg (tm : Timing.t) =
     log_cells = [];
     log_critical = tm.Timing.critical_delay;
     flags = Bytes.make n '\000';
+    span_lo = max_int;
+    span_hi = -1;
     gate_evals = 0;
     cutoffs = 0;
   }
@@ -122,9 +133,17 @@ let save t id =
   t.log_vals.(v + 4) <- t.arrival.(id);
   t.log_len <- k + 1
 
-let clear_changes t = Bytes.fill t.flags 0 (Bytes.length t.flags) '\000'
+(* Dirty bits never outlive a propagation, so only the span of the
+   load and delay flags needs clearing. *)
+let clear_changes t =
+  if t.span_lo <= t.span_hi then
+    Bytes.fill t.flags t.span_lo (t.span_hi - t.span_lo + 1) '\000';
+  t.span_lo <- max_int;
+  t.span_hi <- -1
 
-let try_cells t changes =
+(* One propagation. With [~log:false] nothing is recorded for
+   {!revert}: the writes are final at once. *)
+let propagate ~log t changes =
   let c = t.circuit in
   List.iter
     (fun (g, (cell : Cell_params.t)) ->
@@ -133,22 +152,29 @@ let try_cells t changes =
         invalid_arg "Incr_sta.try_cells: cell does not match gate")
     changes;
   clear_changes t;
+  (* [lo, hi] bounds the dirty ids still to visit *)
+  let lo = ref max_int and hi = ref (-1) in
+  let dirty id =
+    set t id dirty_bit;
+    if id < !lo then lo := id;
+    if id > !hi then hi := id
+  in
   (* 1. cell writes in list order, skipping any that would not change
      the gate; the written gates and their fan-in nets go dirty. All
      writes land before any load is recomputed: two changed gates may
      share a net. *)
-  let lo = ref max_int in
   let nets = ref [] in
   List.iter
     (fun (g, cell) ->
       let cur = Assignment.get t.asg g in
       if not (Cell_params.equal cur cell) then begin
-        if not (in_trial t) then t.log_critical <- t.critical_delay;
-        t.log_cells <- (g, cur, t.models.(g)) :: t.log_cells;
+        if log then begin
+          if not (in_trial t) then t.log_critical <- t.critical_delay;
+          t.log_cells <- (g, cur, t.models.(g)) :: t.log_cells
+        end;
         Assignment.set t.asg g cell;
         t.models.(g) <- Some (Ser_cell.Library.timing_model t.lib cell);
-        set t g dirty_bit;
-        if g < !lo then lo := g;
+        dirty g;
         nets := (Circuit.node c g).Circuit.fanin :: !nets
       end)
     changes;
@@ -162,42 +188,46 @@ let try_cells t changes =
                (Circuit.node c f)
            in
            if not (same_bits l t.loads.(f)) then begin
-             save t f;
+             if log then save t f;
              t.loads.(f) <- l;
-             set t f load_bit;
-             if not (Circuit.is_input c f) then begin
-               set t f dirty_bit;
-               if f < !lo then lo := f
-             end
+             flag t f load_bit;
+             if not (Circuit.is_input c f) then dirty f
            end))
       !nets;
     (* 3. forward over the fanout cone in ascending (topological) id
        order; a gate whose output ramp and arrival are bit-unchanged
        does not dirty its readers *)
-    for id = !lo to Array.length t.loads - 1 do
-      if has t id dirty_bit then begin
-        clear_dirty t id;
+    let id = ref !lo in
+    while !id <= !hi do
+      let g = !id in
+      if has t g dirty_bit then begin
+        clear_dirty t g;
         t.gate_evals <- t.gate_evals + 1;
-        let nd = Circuit.node c id in
-        let d0 = t.delays.(id) and r0 = t.ramps.(id) and a0 = t.arrival.(id) in
-        save t id;
+        let nd = Circuit.node c g in
+        let d0 = t.delays.(g) and r0 = t.ramps.(g) and a0 = t.arrival.(g) in
+        if log then save t g;
         let model =
-          match t.models.(id) with Some m -> m | None -> assert false
+          match t.models.(g) with Some m -> m | None -> assert false
         in
         Timing.eval_gate ~env:t.env model nd ~loads:t.loads
           ~input_ramp:t.input_ramp ~delays:t.delays ~ramps:t.ramps
           ~arrival:t.arrival;
-        if not (same_bits t.delays.(id) d0) then set t id delay_bit;
-        if same_bits t.ramps.(id) r0 && same_bits t.arrival.(id) a0 then
+        if not (same_bits t.delays.(g) d0) then flag t g delay_bit;
+        if same_bits t.ramps.(g) r0 && same_bits t.arrival.(g) a0 then
           t.cutoffs <- t.cutoffs + 1
-        else
-          Array.iter (fun r -> set t r dirty_bit) nd.Circuit.fanout
-      end
+        else Array.iter dirty nd.Circuit.fanout
+      end;
+      incr id
     done;
     t.critical_delay <- Timing.critical_of c t.arrival
   end
 
+let try_cells t changes = propagate ~log:true t changes
 let try_cell t g cell = try_cells t [ (g, cell) ]
+
+let apply_cells t changes =
+  if in_trial t then invalid_arg "Incr_sta.apply_cells: open trial";
+  propagate ~log:false t changes
 
 let reset_log t =
   t.log_len <- 0;
@@ -232,6 +262,7 @@ let load t id = t.loads.(id)
 let delay t id = t.delays.(id)
 let load_changed t id = has t id load_bit
 let delay_changed t id = has t id delay_bit
+let changed_span t = (t.span_lo, t.span_hi)
 let gate_evals t = t.gate_evals
 let cutoffs t = t.cutoffs
 

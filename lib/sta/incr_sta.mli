@@ -14,9 +14,11 @@
     [Timing.analyze] of the handle's current assignment.
 
     Used by the baseline sizing loop (try, read the critical delay,
-    revert or commit) and by {!Ser_incr.Incr}, which layers the
-    ASERTA tables on top and reads back what the last propagation
-    changed. Not thread-safe; {!fork} gives an independent copy. *)
+    revert or commit) and by the layered engines [Ser_incr.Incr]
+    (ASERTA tables) and [Ser_serpp.Incr_serpp] (serpp profiles), which
+    propagate with {!apply_cells} and read back what the last
+    propagation changed. Not thread-safe; {!fork} gives an independent
+    copy. *)
 
 type t
 
@@ -43,6 +45,12 @@ val try_cells : t -> (int * Ser_device.Cell_params.t) list -> unit
 val try_cell : t -> int -> Ser_device.Cell_params.t -> unit
 (** [try_cells t [(g, cell)]]. *)
 
+val apply_cells : t -> (int * Ser_device.Cell_params.t) list -> unit
+(** [try_cells] then {!commit}, but without recording the undo log:
+    the same propagation and state, none of the log's copying or
+    allocation. For layered engines, which never revert. Raises
+    [Invalid_argument] while a trial is open. *)
+
 val commit : t -> unit
 (** Keep the open trial's writes and close it. *)
 
@@ -67,6 +75,11 @@ val load_changed : t -> int -> bool
 
 val delay_changed : t -> int -> bool
 (** Likewise for the gate's delay. *)
+
+val changed_span : t -> int * int
+(** [(lo, hi)]: every node with {!load_changed} or {!delay_changed}
+    has an id in [lo..hi], so a layered engine scans that span rather
+    than the whole circuit. Empty ([lo > hi]) when nothing changed. *)
 
 val gate_evals : t -> int
 (** Kernel evaluations by this handle's propagations (not counting the

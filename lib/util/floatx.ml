@@ -17,6 +17,18 @@ let inv_lerp a b x = if a = b then 0. else (x -. a) /. (b -. a)
    the cutoff. *)
 let same_bits a b = a = b && (a <> 0. || 1. /. a = 1. /. b)
 
+let same_bits_array a b =
+  a == b
+  ||
+  let n = Array.length a in
+  Array.length b = n
+  &&
+  let k = ref 0 in
+  while !k < n && same_bits a.(!k) b.(!k) do
+    incr k
+  done;
+  !k = n
+
 let is_close ?(rtol = 1e-9) ?(atol = 1e-12) a b =
   Float.abs (a -. b) <= atol +. (rtol *. Float.max (Float.abs a) (Float.abs b))
 

@@ -17,6 +17,10 @@ val same_bits : float -> float -> bool
     ([0.] and [-0.] differ). [false] on any NaN, so a caller using it as
     an early-cutoff test merely recomputes. Allocation-free. *)
 
+val same_bits_array : float array -> float array -> bool
+(** {!same_bits} elementwise, over arrays of equal length (true at
+    once for the same array): the cutoff test of a recomputed row. *)
+
 val is_close : ?rtol:float -> ?atol:float -> float -> float -> bool
 (** [is_close a b] holds when [|a - b| <= atol + rtol * max |a| |b|].
     Defaults: [rtol = 1e-9], [atol = 1e-12]. *)

@@ -76,7 +76,7 @@ let test_latch_window_derates () =
   Alcotest.(check bool) "derated total below full-width total" true
     (derated.Serpp.total < full.Serpp.total);
   Alcotest.(check bool) "derated cap below full cap" true
-    (derated.Serpp.profile_cap < full.Serpp.profile_cap)
+    (derated.Serpp.context.Serpp.profile_cap < full.Serpp.context.Serpp.profile_cap)
 
 (* ------------------------- qcheck properties ----------------------- *)
 
@@ -207,6 +207,246 @@ let test_tiered_optimizer () =
   Alcotest.(check bool) "tiered result finite" true
     (Float.is_finite (u_of tiered))
 
+(* ------------- incremental handle against the reference ------------- *)
+
+module Incr_serpp = Ser_serpp.Incr_serpp
+module Assignment = Ser_sta.Assignment
+module Timing = Ser_sta.Timing
+
+(* The reference: one candidate scored as the tiered ranking used to
+   score every menu entry, with the estimation pass written out as it
+   stood before it was split into a context and kernels (successors and
+   sensitizations found per pass, one [Lut.interpolate_1d] per
+   successor sample). Returns (profiles, estimates, metrics). *)
+module Probs = Ser_logicsim.Probs
+module Lut = Ser_table.Lut
+module Glitch = Aserta.Glitch
+
+let reference_pass (config : Serpp.config) lib asg =
+  let c = Assignment.circuit asg in
+  let n = Circuit.node_count c in
+  let timing = Timing.analyze ~env:config.Serpp.env lib asg in
+  let probs = Probs.signal_probabilities ?pi_probs:config.Serpp.pi_probs c in
+  let ws = Serpp.sample_widths config in
+  let n_samples = Array.length ws in
+  let latch =
+    match config.Serpp.latch_window with
+    | None -> config.Serpp.max_sample_width
+    | Some w -> Float.min w config.Serpp.max_sample_width
+  in
+  let cap = float_of_int (Array.length c.Circuit.outputs) *. latch in
+  let successors id =
+    List.sort_uniq
+      (fun a b ->
+        String.compare (Circuit.node c a).Circuit.name
+          (Circuit.node c b).Circuit.name)
+      (Array.to_list (Circuit.node c id).Circuit.fanout)
+  in
+  let profiles = Array.make n [||] in
+  for id = n - 1 downto 0 do
+    if not (Circuit.is_input c id) then
+      if Circuit.is_output c id then
+        profiles.(id) <- Array.map (fun w -> Float.min w latch) ws
+      else begin
+        let row = Array.make n_samples 0. in
+        List.iter
+          (fun s ->
+            let sens =
+              Probs.sensitization_to_driver c ~probs ~gate:s ~driver:id
+            in
+            if sens > 0. then
+              for k = 0 to n_samples - 1 do
+                let wo =
+                  Glitch.propagate ~delay:timing.Timing.delays.(s)
+                    ~width:ws.(k)
+                in
+                if wo > 0. then
+                  row.(k) <-
+                    row.(k)
+                    +. (sens *. Lut.interpolate_1d ~xs:ws ~ys:profiles.(s) wo)
+              done)
+          (successors id);
+        profiles.(id) <- Array.map (fun v -> if v > cap then cap else v) row
+      end
+  done;
+  let estimate = Array.make n 0. in
+  for id = 0 to n - 1 do
+    if not (Circuit.is_input c id) then begin
+      let cell = Assignment.get asg id in
+      let node_cap = timing.Timing.loads.(id) +. L.output_cap lib cell in
+      let glitch output_low =
+        L.generated_glitch_width lib cell ~node_cap ~charge:config.Serpp.charge
+          ~output_low
+      in
+      let p1 = probs.(id) in
+      let wi = ((1. -. p1) *. glitch true) +. (p1 *. glitch false) in
+      estimate.(id) <-
+        L.area lib cell *. Lut.interpolate_1d ~xs:ws ~ys:profiles.(id) wi
+    end
+  done;
+  let total = ref 0. in
+  Array.iter (fun u -> total := !total +. u) estimate;
+  let m =
+    {
+      Incr_serpp.unreliability = !total;
+      delay = timing.Timing.critical_delay;
+      energy = Timing.total_energy ~env:config.Serpp.env ~timing lib asg;
+      area = Assignment.total_area lib asg;
+    }
+  in
+  (profiles, estimate, m)
+
+let reference config lib asg = reference_pass config lib (Assignment.copy asg)
+
+let bits = Int64.bits_of_float
+let same_float a b = Int64.equal (bits a) (bits b)
+
+let same_row a b =
+  Array.length a = Array.length b && Array.for_all2 same_float a b
+
+(* [None] when the handle equals the reference of [asg], else what
+   differs *)
+let mismatch config lib asg h =
+  let profiles, estimate, m = reference config lib asg in
+  let hm = Incr_serpp.metrics h in
+  let n = Array.length estimate in
+  let first_bad f = List.find_opt f (List.init n Fun.id) in
+  if not (same_float m.Incr_serpp.unreliability hm.Incr_serpp.unreliability)
+  then Some "total"
+  else if not (same_float m.Incr_serpp.delay hm.Incr_serpp.delay) then
+    Some "delay"
+  else if not (same_float m.Incr_serpp.energy hm.Incr_serpp.energy) then
+    Some "energy"
+  else if not (same_float m.Incr_serpp.area hm.Incr_serpp.area) then
+    Some "area"
+  else
+    match
+      first_bad (fun id ->
+          not (same_row profiles.(id) (Incr_serpp.profile h id)))
+    with
+    | Some id -> Some (Printf.sprintf "profile of node %d" id)
+    | None -> (
+      match
+        first_bad (fun id ->
+            not (same_float estimate.(id) (Incr_serpp.estimate h id)))
+      with
+      | Some id -> Some (Printf.sprintf "estimate of node %d" id)
+      | None -> None)
+
+let gates_of c =
+  Array.of_list
+    (List.filter
+       (fun id -> not (Circuit.is_input c id))
+       (List.init (Circuit.node_count c) Fun.id))
+
+let random_variant lib c rng g =
+  let nd = Circuit.node c g in
+  let vs =
+    Array.of_list
+      (L.variants lib nd.Circuit.kind (Array.length nd.Circuit.fanin))
+  in
+  vs.(Ser_rng.Rng.int rng (Array.length vs))
+
+(* Random sequences of set_cell, fork and sync on random synthesized
+   circuits, with and without a latching window and biased inputs:
+   after every operation the handle, and at the end every handle
+   forked away from, equals the reference of its own assignment. *)
+let handle_matches_reference_prop =
+  QCheck.Test.make ~count:25
+    ~name:"handle = full pass, bit for bit"
+    QCheck.(
+      quad (int_bound 10_000) (int_range 10 60) (int_range 2 6)
+        (pair bool bool))
+    (fun (seed, n_gates, depth, (latch, biased)) ->
+      let profile =
+        {
+          Ser_circuits.Iscas.pr_name = "rnd";
+          pr_inputs = 4 + (seed mod 5);
+          pr_outputs = 2 + (seed mod 3);
+          pr_gates = n_gates;
+          pr_depth = depth;
+          pr_xor_heavy = seed mod 4 = 0;
+        }
+      in
+      let c = Ser_circuits.Iscas.synthesize ~seed:(seed + 1) profile in
+      let lib = Lazy.force lib in
+      let rng = Ser_rng.Rng.create (seed + 31) in
+      let config =
+        {
+          Serpp.default_config with
+          Serpp.latch_window =
+            (if latch then Some (10. +. float_of_int (seed mod 90)) else None);
+          pi_probs =
+            (if biased then
+               Some
+                 (Array.map
+                    (fun _ -> Ser_rng.Rng.range rng 0.05 0.95)
+                    c.Circuit.inputs)
+             else None);
+        }
+      in
+      let gates = gates_of c in
+      let pick () = gates.(Ser_rng.Rng.int rng (Array.length gates)) in
+      let asg = ref (Assignment.uniform lib c) in
+      let h = ref (Incr_serpp.create ~config lib !asg) in
+      let parents = ref [] in
+      let check what (a, h) =
+        match mismatch config lib a h with
+        | None -> ()
+        | Some d -> QCheck.Test.fail_reportf "after %s: %s differs" what d
+      in
+      check "create" (!asg, !h);
+      for _ = 1 to 12 do
+        match Ser_rng.Rng.int rng 4 with
+        | 0 ->
+          parents := (Assignment.copy !asg, !h) :: !parents;
+          h := Incr_serpp.fork !h;
+          check "fork" (!asg, !h)
+        | 1 ->
+          let a = Assignment.copy !asg in
+          for _ = 1 to 1 + Ser_rng.Rng.int rng 5 do
+            let g = pick () in
+            Assignment.set a g (random_variant lib c rng g)
+          done;
+          asg := a;
+          Incr_serpp.sync !h a;
+          check "sync" (!asg, !h)
+        | _ ->
+          let g = pick () in
+          let v = random_variant lib c rng g in
+          Assignment.set !asg g v;
+          Incr_serpp.set_cell !h g v;
+          check "set_cell" (!asg, !h)
+      done;
+      List.iter (check "a fork's updates") !parents;
+      true)
+
+let test_fork_leaves_parent () =
+  let l, asg = sized_bench "c432" in
+  let h = Incr_serpp.create l asg in
+  let c = Assignment.circuit asg in
+  let n = Circuit.node_count c in
+  let before = Incr_serpp.metrics h in
+  let profiles = Array.init n (Incr_serpp.profile h) in
+  let estimates = Array.init n (Incr_serpp.estimate h) in
+  let rng = Ser_rng.Rng.create 3 in
+  let gates = gates_of c in
+  for _ = 1 to 40 do
+    let probe = Incr_serpp.fork h in
+    let g = gates.(Ser_rng.Rng.int rng (Array.length gates)) in
+    Incr_serpp.set_cell probe g (random_variant l c rng g);
+    ignore (Incr_serpp.metrics probe)
+  done;
+  let after = Incr_serpp.metrics h in
+  Alcotest.(check bool) "parent metrics unchanged" true (before = after);
+  for id = 0 to n - 1 do
+    if not (same_row profiles.(id) (Incr_serpp.profile h id)
+            && same_float estimates.(id) (Incr_serpp.estimate h id))
+    then Alcotest.failf "node %d changed under a fork's update" id
+  done;
+  Alcotest.(check (option string)) "parent still equals its reference" None
+    (mismatch Serpp.default_config l asg h)
+
 (* --------------------- request-level contract ---------------------- *)
 
 let test_request_backend_codec () =
@@ -281,6 +521,11 @@ let () =
         ] );
       ( "tiered",
         [ Alcotest.test_case "prefilter saves exact evals" `Slow test_tiered_optimizer ] );
+      ( "handle",
+        [
+          QCheck_alcotest.to_alcotest handle_matches_reference_prop;
+          Alcotest.test_case "fork leaves parent" `Quick test_fork_leaves_parent;
+        ] );
       ( "request",
         [
           Alcotest.test_case "backend codec" `Quick test_request_backend_codec;

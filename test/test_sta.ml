@@ -295,23 +295,51 @@ let handle_sequence_prop =
       let current = ref (A.copy !committed) in
       let rng = Ser_rng.Rng.create seed in
       let ok = ref (handle_matches lib h !current) in
+      let in_trial = ref false in
+      (* every load/delay flag lies inside the reported span *)
+      let span_covers () =
+        let lo, hi = Incr_sta.changed_span h in
+        Array.for_all
+          (fun (nd : Circuit.node) ->
+            let id = nd.Circuit.id in
+            (not (Incr_sta.load_changed h id || Incr_sta.delay_changed h id))
+            || (lo <= id && id <= hi))
+          c.Circuit.nodes
+      in
       for _ = 1 to n_ops do
-        (match Ser_rng.Rng.int rng 10 with
+        (match Ser_rng.Rng.int rng 11 with
         | 0 | 1 | 2 | 3 ->
           let g, cell = random_move lib rng c in
           A.set !current g cell;
-          Incr_sta.try_cell h g cell
+          Incr_sta.try_cell h g cell;
+          in_trial := true
         | 4 | 5 ->
           let batch = List.init 3 (fun _ -> random_move lib rng c) in
           List.iter (fun (g, cell) -> A.set !current g cell) batch;
-          Incr_sta.try_cells h batch
+          Incr_sta.try_cells h batch;
+          in_trial := true
         | 6 | 7 ->
           Incr_sta.revert h;
-          current := A.copy !committed
-        | _ ->
+          current := A.copy !committed;
+          in_trial := false
+        | 8 ->
           Incr_sta.commit h;
-          committed := A.copy !current);
-        if not (handle_matches lib h !current) then ok := false
+          committed := A.copy !current;
+          in_trial := false
+        | _ ->
+          (* an unlogged batch: final at once, refused mid-trial *)
+          let batch = List.init 2 (fun _ -> random_move lib rng c) in
+          if !in_trial then (
+            match Incr_sta.apply_cells h batch with
+            | () -> ok := false
+            | exception Invalid_argument _ -> ())
+          else begin
+            List.iter (fun (g, cell) -> A.set !current g cell) batch;
+            Incr_sta.apply_cells h batch;
+            committed := A.copy !current
+          end);
+        if not (handle_matches lib h !current && span_covers ()) then
+          ok := false
       done;
       !ok)
 
