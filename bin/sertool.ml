@@ -158,7 +158,7 @@ let analyze_cmd jobs obs backend spec vectors charge top vdds vths odc json
   let odc_report = Option.map load_odc_report odc in
   let t0 = Unix.gettimeofday () in
   let ({ Handlers.assignment = asg; result } as analyzed) =
-    or_diag (Handlers.analyze ?odc_report req)
+    or_diag (Result.bind (Handlers.load req) (Handlers.analyze ?odc_report req))
   in
   let dt = Unix.gettimeofday () -. t0 in
   (* both backends expose per-gate values on the same surface; the
@@ -262,7 +262,7 @@ let odc_cmd jobs obs spec mode vectors seed threshold output =
       ~odc_threshold:threshold Request.Odc (Request.Spec spec)
   in
   let t0 = Unix.gettimeofday () in
-  let r = or_diag (Handlers.odc req) in
+  let r = or_diag (Result.bind (Handlers.load req) (Handlers.odc req)) in
   let dt = Unix.gettimeofday () -. t0 in
   print_string (Ser_odc.Odc.render r);
   Printf.printf
@@ -291,9 +291,8 @@ let optimize_cmd jobs obs spec vectors evals greedy eval_tier tier_k vdds vths
       ?budget_evals Request.Optimize (Request.Spec spec)
   in
   let odc_report = Option.map load_odc_report odc in
-  let c = load_circuit spec in
-  let lib = make_library vdds vths in
-  let baseline = Sertopt.Optimizer.size_for_speed lib c in
+  let loaded = or_diag (Handlers.load req) in
+  let c = loaded.Handlers.circuit in
   (* a budget always exists so that SIGINT/SIGTERM can cancel it: the
      optimizer then stops at its next poll and returns the best-so-far
      incumbent, which flushes the checkpoint and prints the partial
@@ -304,7 +303,13 @@ let optimize_cmd jobs obs spec vectors evals greedy eval_tier tier_k vdds vths
   let initial =
     match checkpoint with
     | Some path when Sys.file_exists path ->
-      let cp = or_diag (Sertopt.Checkpoint.restore path ~base:baseline) in
+      (* restored against the baseline the optimizer then starts from:
+         forcing it here is that run's one sizing *)
+      let cp =
+        or_diag
+          (Sertopt.Checkpoint.restore path
+             ~base:(Lazy.force loaded.Handlers.baseline))
+      in
       Printf.printf "resuming from checkpoint %s (%d evals%s)\n" path
         cp.Sertopt.Checkpoint.evals
         (match cp.Sertopt.Checkpoint.cost with
@@ -326,7 +331,7 @@ let optimize_cmd jobs obs spec vectors evals greedy eval_tier tier_k vdds vths
   let t0 = Unix.gettimeofday () in
   let r =
     Fun.protect ~finally:restore_signals (fun () ->
-        or_diag (Handlers.optimize ~budget ?initial ?odc_report req))
+        or_diag (Handlers.optimize ~budget ?initial ?odc_report req loaded))
   in
   let dt = Unix.gettimeofday () -. t0 in
   let interrupted = Ser_util.Budget.was_cancelled budget in
@@ -401,7 +406,9 @@ let rate_cmd jobs obs spec vectors clock q_slope top =
     Request.make ~vectors ?clock ~q_slope ~top Request.Rate
       (Request.Spec spec)
   in
-  let { Handlers.r_analysis; r_rate = r; _ } = or_diag (Handlers.rate req) in
+  let { Handlers.r_analysis; r_rate = r; _ } =
+    or_diag (Result.bind (Handlers.load req) (Handlers.rate req))
+  in
   let c = r_analysis.Aserta.Analysis.circuit in
   Printf.printf
     "%s: SER = %.2f FIT (synthetic flux normalisation)\n\
@@ -775,8 +782,7 @@ let parse_tcp spec =
   | None -> failwith (Printf.sprintf "bad tcp address %S (want HOST:PORT)" spec)
 
 let serve_cmd jobs obs socket tcp max_queue max_frame deadline cache_dir
-    cache_entries pool_entries worker_timeout worker_retries spool_dir
-    no_isolate quiet =
+    cache_entries worker_timeout worker_retries spool_dir no_isolate quiet =
   wrap @@ fun () ->
   apply_jobs jobs;
   apply_obs obs;
@@ -793,7 +799,6 @@ let serve_cmd jobs obs socket tcp max_queue max_frame deadline cache_dir
       default_deadline_s = deadline;
       cache_dir;
       cache_entries;
-      pool_entries;
       worker_timeout_s = worker_timeout;
       worker_retries;
       spool_dir;
@@ -918,9 +923,8 @@ let client_cmd socket tcp op spec inline id backend vectors charge top evals
     | Ser_serve.Wire.Ok_payload payload ->
       print_endline (Ser_util.Json.to_string ~indent:true payload);
       Printf.eprintf
-        "sertool client: ok in %.3fs%s%s%s\n" r.Ser_serve.Wire.r_elapsed_s
+        "sertool client: ok in %.3fs%s%s\n" r.Ser_serve.Wire.r_elapsed_s
         (if r.Ser_serve.Wire.r_cache_hit then " (cache hit)" else "")
-        (if r.Ser_serve.Wire.r_warm then " (warm)" else "")
         (if r.Ser_serve.Wire.r_replayed then " (replayed)" else "");
       `Ok exit_ok
     | Ser_serve.Wire.Rejected (reject, msg, diag) ->
@@ -1807,10 +1811,6 @@ let serve_t =
     Arg.(value & opt int 256 & info [ "cache-entries" ] ~docv:"N"
            ~doc:"Result-cache LRU bound.")
   in
-  let pool_entries =
-    Arg.(value & opt int 4 & info [ "pool-entries" ] ~docv:"N"
-           ~doc:"Warm incremental-handle pool LRU bound.")
-  in
   let worker_timeout =
     Arg.(value & opt float 120. & info [ "worker-timeout" ] ~docv:"SECONDS"
            ~doc:"Watchdog per isolated-worker attempt.")
@@ -1838,12 +1838,12 @@ let serve_t =
     (Cmd.info "serve"
        ~doc:"Run a persistent analysis daemon: length-framed JSON requests \
              over a Unix (or TCP) socket, content-addressed result cache, \
-             warm incremental handles, admission control with load \
-             shedding, per-request deadlines, crash-contained isolated \
-             workers and graceful drain on SIGTERM")
+             admission control with load shedding, per-request \
+             deadlines, crash-contained isolated workers and graceful \
+             drain on SIGTERM")
     Term.(ret (const serve_cmd $ jobs_arg $ obs_args $ socket_arg $ tcp_arg
                $ max_queue $ max_frame $ deadline $ cache_dir $ cache_entries
-               $ pool_entries $ worker_timeout $ worker_retries $ spool_dir
+               $ worker_timeout $ worker_retries $ spool_dir
                $ no_isolate $ quiet))
 
 let client_t =

@@ -51,7 +51,7 @@ let sample_widths config =
   (* geometric grid from a few ps up to the "very wide" sample *)
   Ser_util.Floatx.logspace 2. config.max_sample_width config.n_samples
 
-let compute_masking ?domains ?prune config (c : Circuit.t) =
+let compute_masking ?prune config (c : Circuit.t) =
   Obs.Metrics.incr m_masking_runs;
   Obs.Trace.with_span "aserta.masking" (fun () ->
       let probs = Probs.signal_probabilities ?pi_probs:config.pi_probs c in
@@ -64,7 +64,7 @@ let compute_masking ?domains ?prune config (c : Circuit.t) =
               (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 p)
           | None -> ());
           let rng = Ser_rng.Rng.create config.seed in
-          Probs.path_probabilities ?domains ?pi_probs:config.pi_probs ?prune
+          Probs.path_probabilities ?pi_probs:config.pi_probs ?prune
             ~rng ~vectors:config.vectors c
         | Analytic_masking ->
           (* The analytic backend ignores [prune]: its independence

@@ -114,11 +114,10 @@ type t = {
 }
 
 val compute_masking :
-  ?domains:int -> ?prune:bool array -> config -> Ser_netlist.Circuit.t -> masking
+  ?prune:bool array -> config -> Ser_netlist.Circuit.t -> masking
 (** Signal probabilities (analytic, 0.5 at PIs, as the paper obtains
-    from Synopsys DC) and fault-simulated [P_ij]. [domains] > 1 runs
-    the fault simulation on that many cores with bit-identical
-    results.
+    from Synopsys DC) and fault-simulated [P_ij], on the
+    {!Ser_par.Par} pool with results bit-identical at any width.
 
     [prune] (node-id-indexed, from {e lib/odc}'s
     [Odc.prune_set]) skips fault injection for ODC-proven-masked

@@ -48,6 +48,12 @@ let aserta_config (req : Request.t) =
     charge = req.Request.charge;
   }
 
+type loaded = {
+  circuit : Ser_netlist.Circuit.t;
+  library : Ser_cell.Library.t;
+  baseline : Ser_sta.Assignment.t Lazy.t;
+}
+
 type backend_result =
   | Aserta of Aserta.Analysis.t
   | Serpp of Ser_serpp.Serpp.t
@@ -65,13 +71,22 @@ type rated = {
 
 let subsystem = "cli"
 
-let analyze ?odc_report (req : Request.t) =
+let load (req : Request.t) =
   Diag.guard ~subsystem (fun () ->
-      let c = load_circuit req.Request.source in
-      let lib =
+      let circuit = load_circuit req.Request.source in
+      let library =
         make_library ~vdds:req.Request.vdds ~vths:req.Request.vths
       in
-      let assignment = Sertopt.Optimizer.size_for_speed lib c in
+      {
+        circuit;
+        library;
+        baseline =
+          lazy (Sertopt.Optimizer.size_for_speed library circuit);
+      })
+
+let analyze ?odc_report (req : Request.t) l =
+  Diag.guard ~subsystem (fun () ->
+      let assignment = Lazy.force l.baseline in
       let prune =
         match odc_report with
         | None -> None
@@ -82,7 +97,7 @@ let analyze ?odc_report (req : Request.t) =
                  (Diag.make ~subsystem
                     "the serpp backend does not consume ODC reports (its \
                      analytic estimate cannot skip sites soundly)"));
-          Some (or_diag (Ser_odc.Odc.prune_set c rep))
+          Some (or_diag (Ser_odc.Odc.prune_set l.circuit rep))
       in
       let result =
         match req.Request.backend with
@@ -93,25 +108,23 @@ let analyze ?odc_report (req : Request.t) =
               Ser_serpp.Serpp.charge = req.Request.charge;
             }
           in
-          Serpp (or_diag (Ser_serpp.Serpp.run_checked ~config lib assignment))
+          Serpp
+            (or_diag (Ser_serpp.Serpp.run_checked ~config l.library assignment))
         | _ ->
           let config = aserta_config req in
           Aserta
-            (or_diag (Aserta.Analysis.run_checked ~config ?prune lib assignment))
+            (or_diag
+               (Aserta.Analysis.run_checked ~config ?prune l.library
+                  assignment))
       in
       { assignment; result })
 
-let optimize ?budget ?initial ?odc_report (req : Request.t) =
+let optimize ?budget ?initial ?odc_report (req : Request.t) l =
   Diag.guard ~subsystem (fun () ->
-      let c = load_circuit req.Request.source in
-      let lib =
-        make_library ~vdds:req.Request.vdds ~vths:req.Request.vths
-      in
-      let baseline = Sertopt.Optimizer.size_for_speed lib c in
       let odc_obs =
         match odc_report with
         | None -> None
-        | Some rep -> Some (or_diag (Ser_odc.Odc.obs_array c rep))
+        | Some rep -> Some (or_diag (Ser_odc.Odc.obs_array l.circuit rep))
       in
       let cfg =
         {
@@ -137,11 +150,11 @@ let optimize ?budget ?initial ?odc_report (req : Request.t) =
         | None, Some n -> Some (Ser_util.Budget.create ~max_evals:n ())
         | None, None -> None
       in
-      Sertopt.Optimizer.optimize ~config:cfg ?budget ?initial lib baseline)
+      Sertopt.Optimizer.optimize ~config:cfg ?budget ?initial l.library
+        (Lazy.force l.baseline))
 
-let odc (req : Request.t) =
+let odc (req : Request.t) l =
   Diag.guard ~subsystem (fun () ->
-      let c = load_circuit req.Request.source in
       let mode =
         match Ser_odc.Odc.mode_of_string req.Request.odc_mode with
         | Some m -> m
@@ -159,18 +172,14 @@ let odc (req : Request.t) =
           seed = req.Request.odc_seed;
         }
       in
-      or_diag (Ser_odc.Odc.analyze_checked ~config c))
+      or_diag (Ser_odc.Odc.analyze_checked ~config l.circuit))
 
-let rate (req : Request.t) =
+let rate (req : Request.t) l =
   Diag.guard ~subsystem (fun () ->
-      let c = load_circuit req.Request.source in
-      let lib =
-        make_library ~vdds:req.Request.vdds ~vths:req.Request.vths
-      in
-      let r_assignment = Sertopt.Optimizer.size_for_speed lib c in
+      let r_assignment = Lazy.force l.baseline in
       let config = aserta_config req in
       let r_analysis =
-        or_diag (Aserta.Analysis.run_checked ~config lib r_assignment)
+        or_diag (Aserta.Analysis.run_checked ~config l.library r_assignment)
       in
       let spectrum =
         {
@@ -179,7 +188,7 @@ let rate (req : Request.t) =
         }
       in
       let r_rate =
-        Aserta.Ser_rate.run ~spectrum ?clock_period:req.Request.clock lib
+        Aserta.Ser_rate.run ~spectrum ?clock_period:req.Request.clock l.library
           r_assignment r_analysis
       in
       { r_assignment; r_analysis; r_rate })
@@ -326,11 +335,14 @@ let odc_payload (req : Request.t) (r : Ser_odc.Odc.t) =
       ("report", Ser_odc.Odc.to_json r);
     ]
 
-let run ?budget (req : Request.t) =
+let run_loaded ?budget (req : Request.t) l =
   match req.Request.op with
   | Request.Analyze ->
-    Result.map (fun a -> analyze_payload req a) (analyze req)
+    Result.map (fun a -> analyze_payload req a) (analyze req l)
   | Request.Optimize ->
-    Result.map (fun r -> optimize_payload req r) (optimize ?budget req)
-  | Request.Rate -> Result.map (fun r -> rate_payload req r) (rate req)
-  | Request.Odc -> Result.map (fun r -> odc_payload req r) (odc req)
+    Result.map (fun r -> optimize_payload req r) (optimize ?budget req l)
+  | Request.Rate -> Result.map (fun r -> rate_payload req r) (rate req l)
+  | Request.Odc -> Result.map (fun r -> odc_payload req r) (odc req l)
+
+let run ?budget (req : Request.t) =
+  Result.bind (load req) (run_loaded ?budget req)

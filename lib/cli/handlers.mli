@@ -28,6 +28,23 @@ val library_id : Ser_cell.Library.t -> string
 
 val aserta_config : Request.t -> Aserta.Analysis.config
 
+type loaded = {
+  circuit : Ser_netlist.Circuit.t;
+  library : Ser_cell.Library.t;
+      (** {!make_library} over the request's VDD/Vth menus *)
+  baseline : Ser_sta.Assignment.t Lazy.t;
+      (** the size-for-speed baseline every sizing op starts from,
+          computed on first force: odc and a serve cache hit never pay
+          for it, and a front end that needs it before the op (the
+          optimize checkpoint restore) shares the op's one sizing.
+          Force it from one domain at a time, like any [Lazy.t]. *)
+}
+(** A request's inputs, loaded once: what a front end holds between
+    {!load} and the op. *)
+
+val load : Request.t -> (loaded, Ser_util.Diag.t) result
+(** {!load_circuit} and {!make_library} for the request. *)
+
 type backend_result =
   | Aserta of Aserta.Analysis.t
       (** Monte-Carlo expected-width analysis (the paper's method) *)
@@ -46,7 +63,10 @@ type rated = {
 }
 
 val analyze :
-  ?odc_report:Ser_odc.Odc.t -> Request.t -> (analyzed, Ser_util.Diag.t) result
+  ?odc_report:Ser_odc.Odc.t ->
+  Request.t ->
+  loaded ->
+  (analyzed, Ser_util.Diag.t) result
 (** Size-for-speed baseline assignment + checked SER analysis with the
     requested backend (ASERTA by default, serpp when
     [req.backend = "serpp"]). The analyze payload has the same shape
@@ -64,17 +84,18 @@ val optimize :
   ?initial:Ser_sta.Assignment.t ->
   ?odc_report:Ser_odc.Odc.t ->
   Request.t ->
+  loaded ->
   (Sertopt.Optimizer.result, Ser_util.Diag.t) result
 (** [odc_report] additionally seeds the optimizer's ODC downsizing
     stage ({!Sertopt.Optimizer.config.odc_obs}) with the report's
     observability bounds, cut at [req.odc_threshold]. *)
 
-val rate : Request.t -> (rated, Ser_util.Diag.t) result
+val rate : Request.t -> loaded -> (rated, Ser_util.Diag.t) result
 
-val odc : Request.t -> (Ser_odc.Odc.t, Ser_util.Diag.t) result
+val odc : Request.t -> loaded -> (Ser_odc.Odc.t, Ser_util.Diag.t) result
 (** Observability-don't-care discovery ({!Ser_odc.Odc.analyze}) driven
-    by the request's [odc_mode]/[vectors]/[odc_seed]. Backend-free: no
-    library is built and the VDD/Vth axes are ignored. *)
+    by the request's [odc_mode]/[vectors]/[odc_seed]. Backend-free: the
+    library and the baseline are not used. *)
 
 val analyze_payload : Request.t -> analyzed -> Ser_util.Json.t
 val optimize_payload : Request.t -> Sertopt.Optimizer.result -> Ser_util.Json.t
@@ -85,10 +106,19 @@ val odc_payload : Request.t -> Ser_odc.Odc.t -> Ser_util.Json.t
     client can extract that member, save it, and feed it back to
     [analyze --odc] / [optimize --odc] unchanged. *)
 
+val run_loaded :
+  ?budget:Ser_util.Budget.t ->
+  Request.t ->
+  loaded ->
+  (Ser_util.Json.t, Ser_util.Diag.t) result
+(** Execute any request over its loaded inputs and render its payload.
+    [budget] bounds the optimize search; the other ops ignore it. The
+    serve daemon calls this directly, having loaded the inputs to
+    compute its cache key. *)
+
 val run :
   ?budget:Ser_util.Budget.t ->
   Request.t ->
   (Ser_util.Json.t, Ser_util.Diag.t) result
-(** Execute any request from scratch and render its payload — the
-    whole body of a batch/serve worker. [budget] bounds the optimize
-    search (analyze and rate check it only between phases). *)
+(** {!load} then {!run_loaded}: execute any request from scratch — the
+    whole body of a batch worker and of the one-shot worker child. *)

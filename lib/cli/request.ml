@@ -210,6 +210,8 @@ let of_json j =
     else if top < 0 then err "top must be >= 0"
     else if evals < 0 then err "evals must be >= 0"
     else if greedy < 0 then err "greedy must be >= 0"
+    else if match budget_evals with Some n -> n < 0 | None -> false then
+      err "budget_evals must be >= 0"
     else if backend <> "aserta" && backend <> "serpp" then
       err "unknown backend %S (want aserta or serpp)" backend
     else if backend = "serpp" && op = Rate then

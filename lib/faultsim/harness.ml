@@ -1235,8 +1235,9 @@ let scenarios ~sertool =
 let run_all ~sertool =
   (* force the shared fixtures before fanning out: Lazy.force is not
      safe to race from several domains (the losers raise
-     Lazy.Undefined), and base_asg pulls in the other two *)
+     Lazy.Undefined); base_asg pulls in c17 and lib *)
   ignore (Lazy.force base_asg);
+  ignore (Lazy.force odc_c17_report);
   let par, seq =
     List.partition
       (fun s -> s.group <> "jobs" && s.group <> "shard" && s.group <> "serve")

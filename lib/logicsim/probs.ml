@@ -199,7 +199,7 @@ let flip_observed_word (c : Circuit.t) ~cone ~is_po ~good ~mask ws i =
       if is_po.(t) >= 0 then acc := !acc lor diff);
   !acc
 
-let path_probabilities ?(domains = 0) ?pi_probs ?prune ~rng ~vectors (c : Circuit.t) =
+let path_probabilities ?pi_probs ?prune ~rng ~vectors (c : Circuit.t) =
   let n = Circuit.node_count c in
   let n_pos = Array.length c.outputs in
   (* Pruned sites (ODC-proven masked) are dropped before the cone
@@ -265,16 +265,14 @@ let path_probabilities ?(domains = 0) ?pi_probs ?prune ~rng ~vectors (c : Circui
     done;
     Array.blit dealt 0 gates 0 n_gates
   end;
-  (* [domains = 1] forces inline execution; anything else defers to the
-     shared lib/par pool. Results are bit-identical either way: every
-     gate's detect row is owned by exactly one chunk, and the random
-     patterns of batch [b] come from the index-keyed stream
-     [Rng.stream base b] — never from a generator shared across
-     workers (the old per-call [Domain.spawn] code drew all batches
-     from one sequential stream, which made results depend on how many
-     batches each domain had consumed). *)
-  let sequential = domains = 1 in
-  let slots = if sequential then 1 else Ser_par.Par.jobs () in
+  (* Results are bit-identical at any pool width: every gate's detect
+     row is owned by exactly one chunk, and the random patterns of
+     batch [b] come from the index-keyed stream [Rng.stream base b] —
+     never from a generator shared across workers (the old per-call
+     [Domain.spawn] code drew all batches from one sequential stream,
+     which made results depend on how many batches each domain had
+     consumed). *)
+  let slots = Ser_par.Par.jobs () in
   let scratches = Array.init slots (fun _ -> fresh_scratch n) in
   let base = Ser_rng.Rng.split rng in
   let nbatches = batch_count vectors in
@@ -291,8 +289,7 @@ let path_probabilities ?(domains = 0) ?pi_probs ?prune ~rng ~vectors (c : Circui
           gates.(idx)
       done
     in
-    if sequential then body ~slot:0 ~lo:0 ~hi:n_gates
-    else Ser_par.Par.parallel_chunks ~chunk ~n:n_gates body
+    Ser_par.Par.parallel_chunks ~chunk ~n:n_gates body
   done;
   let p =
     Array.map

@@ -45,7 +45,6 @@ type path_probs = {
 }
 
 val path_probabilities :
-  ?domains:int ->
   ?pi_probs:float array ->
   ?prune:bool array ->
   rng:Ser_rng.Rng.t ->
@@ -67,9 +66,8 @@ val path_probabilities :
     owned by exactly one gate and patterns are index-keyed per batch.
 
     The per-gate fault propagation of each batch fans out over the
-    shared {!Ser_par.Par} pool. [domains = 1] forces inline sequential
-    execution; the default (0) and any value > 1 use the pool at its
-    configured width. The result is bit-identical in every case: each
+    shared {!Ser_par.Par} pool at its configured width (inline at
+    width 1). The result is bit-identical at every width: each
     gate's counters are owned by exactly one chunk, and batch [b] draws
     its random vectors from the index-keyed stream
     [Ser_rng.Rng.stream base b] (where [base] is split off [rng] once),

@@ -19,7 +19,6 @@ type config = {
   default_deadline_s : float option;
   cache_entries : int;
   cache_dir : string option;
-  pool_entries : int;
   replay_entries : int;
   worker_timeout_s : float;
   worker_retries : int;
@@ -36,7 +35,6 @@ let default ~socket =
     default_deadline_s = None;
     cache_entries = 256;
     cache_dir = None;
-    pool_entries = 4;
     replay_entries = 128;
     worker_timeout_s = 120.;
     worker_retries = 1;
@@ -80,7 +78,6 @@ type state = {
   cfg : config;
   started : float;
   cache : Cache.t;
-  pool : Pool.t;
   queue : pending Queue.t;
   replay : (string, replay_slot) Hashtbl.t;
   mutable replay_clock : int;
@@ -223,7 +220,6 @@ let health_payload st ~draining =
             ("abandoned", Json.int st.abandoned);
           ] );
       ("cache", Cache.stats_json st.cache);
-      ("pool", Pool.stats_json st.pool);
       ("latency_us", quantiles_json m_latency);
       ("journal_fsync_us", quantiles_json h_fsync);
       ("mem", mem_gauges_json ());
@@ -246,119 +242,20 @@ let inline_fault_ok = function
     Error
       (diagf "fault %S requires an isolated worker (set \"isolate\": true)" f)
 
-let pool_params (req : Request.t) =
-  Json.Obj
-    [
-      ("vectors", Json.int req.Request.vectors);
-      ("charge", Json.Num req.Request.charge);
-    ]
-
-let build_pool_entry (req : Request.t) c lib () =
-  let asg = Sertopt.Optimizer.size_for_speed lib c in
-  let config = Handlers.aserta_config req in
-  let masking = Aserta.Analysis.compute_masking config c in
-  let incr = Ser_incr.Incr.create ~config lib asg masking in
-  {
-    Pool.e_circuit = c;
-    e_library = lib;
-    e_assignment = asg;
-    e_config = config;
-    e_masking = masking;
-    e_incr = incr;
-  }
-
-let run_inline st (req : Request.t) c lib ~pool_key ~deadline_left =
-  Diag.guard ~subsystem (fun () ->
-      match req.Request.op with
-      | Request.Analyze when req.Request.backend = "serpp" ->
-        (* the warm pool caches ASERTA masking + an incremental engine;
-           a serpp analysis is one cheap pass, so it runs direct and
-           leaves the pool to the requests that need it *)
-        let asg = Sertopt.Optimizer.size_for_speed lib c in
-        let config =
-          {
-            Ser_serpp.Serpp.default_config with
-            Ser_serpp.Serpp.charge = req.Request.charge;
-          }
-        in
-        let s =
-          match Ser_serpp.Serpp.run_checked ~config lib asg with
-          | Ok s -> s
-          | Error d -> raise (Diag.Diag_error d)
-        in
-        let payload =
-          Handlers.analyze_payload req
-            { Handlers.assignment = asg; result = Handlers.Serpp s }
-        in
-        (payload, false)
-      | Request.Analyze | Request.Rate ->
-        let entry, warm =
-          Pool.warm st.pool ~key:pool_key ~build:(build_pool_entry req c lib)
-        in
-        let analysis = Ser_incr.Incr.snapshot entry.Pool.e_incr in
-        let payload =
-          match req.Request.op with
-          | Request.Analyze ->
-            Handlers.analyze_payload req
-              {
-                Handlers.assignment = entry.Pool.e_assignment;
-                result = Handlers.Aserta analysis;
-              }
-          | _ ->
-            let spectrum =
-              {
-                Aserta.Ser_rate.default_spectrum with
-                Aserta.Ser_rate.q_slope = req.Request.q_slope;
-              }
-            in
-            let r_rate =
-              Aserta.Ser_rate.run ~spectrum ?clock_period:req.Request.clock
-                entry.Pool.e_library entry.Pool.e_assignment analysis
-            in
-            Handlers.rate_payload req
-              {
-                Handlers.r_assignment = entry.Pool.e_assignment;
-                r_analysis = analysis;
-                r_rate;
-              }
-        in
-        (payload, warm)
-      | Request.Odc ->
-        (* backend-free: one bit-parallel injection pass over the
-           already parsed netlist; the warm pool's library + masking
-           state cannot help it, so it runs direct like serpp analyze *)
-        let mode =
-          match Ser_odc.Odc.mode_of_string req.Request.odc_mode with
-          | Some m -> m
-          | None -> raise (Diag.Diag_error (diagf "unknown odc mode %S" req.Request.odc_mode))
-        in
-        let config =
-          {
-            Ser_odc.Odc.default with
-            Ser_odc.Odc.mode;
-            vectors = req.Request.vectors;
-            seed = req.Request.odc_seed;
-          }
-        in
-        let r =
-          match Ser_odc.Odc.analyze_checked ~config c with
-          | Ok r -> r
-          | Error d -> raise (Diag.Diag_error d)
-        in
-        (Handlers.odc_payload req r, false)
-      | Request.Optimize ->
-        let budget =
-          match (req.Request.budget_evals, deadline_left) with
-          | None, None -> None
-          | evals, seconds ->
-            Some (Budget.create ?max_evals:evals ?max_seconds:seconds ())
-        in
-        let payload =
-          match Handlers.run ?budget req with
-          | Ok p -> p
-          | Error d -> raise (Diag.Diag_error d)
-        in
-        (payload, false))
+(* The same [Handlers] code the one-shot CLI and the worker child run,
+   over the inputs [execute] already loaded for the cache key. Only the
+   budget is the daemon's own: the request's eval cap and whatever is
+   left of its deadline, which bound an optimize search. [Budget.create]
+   cannot raise here: [Request.of_json] rejects a negative eval cap and
+   [deadline_left] is positive. *)
+let run_inline (req : Request.t) loaded ~deadline_left =
+  let budget =
+    match (req.Request.budget_evals, deadline_left) with
+    | None, None -> None
+    | evals, seconds ->
+      Some (Budget.create ?max_evals:evals ?max_seconds:seconds ())
+  in
+  Handlers.run_loaded ?budget req loaded
 
 let reject_of_worker (o : Supervisor.outcome) =
   let p = o.Supervisor.o_payload in
@@ -472,24 +369,16 @@ let execute st (p : pending) =
     Option.map (fun d -> Float.max 0.01 (d -. t0)) p.p_deadline
   in
   let envelope =
-    match
-      Diag.guard ~subsystem (fun () ->
-          let c = Handlers.load_circuit req.Request.source in
-          let lib =
-            Handlers.make_library ~vdds:req.Request.vdds
-              ~vths:req.Request.vths
-          in
-          (c, lib))
-    with
+    match Handlers.load req with
     | Error d ->
       st.bad_requests <- st.bad_requests + 1;
       Obs.Metrics.incr m_bad;
       Wire.error ~id:req.Request.id Wire.Bad_request d
-    | Ok (c, lib) -> (
-      let digest = Cache.circuit_digest c in
-      let lib_id = Handlers.library_id lib in
+    | Ok loaded -> (
       let ckey =
-        Cache.key ~circuit:digest ~library:lib_id
+        Cache.key
+          ~circuit:(Cache.circuit_digest loaded.Handlers.circuit)
+          ~library:(Handlers.library_id loaded.Handlers.library)
           ~params:(Request.params_json req)
       in
       let cacheable =
@@ -532,15 +421,11 @@ let execute st (p : pending) =
             Wire.error ~id:req.Request.id Wire.Bad_request d
           | Ok sleep -> (
             Option.iter Unix.sleepf sleep;
-            let pool_key =
-              Cache.key ~circuit:digest ~library:lib_id
-                ~params:(pool_params req)
-            in
-            match run_inline st req c lib ~pool_key ~deadline_left with
-            | Ok (payload, warm) ->
+            match run_inline req loaded ~deadline_left with
+            | Ok payload ->
               if cacheable then cache_store st ckey payload;
-              Wire.ok ~warm ~id:req.Request.id
-                ~elapsed_s:(Mono.now () -. t0) payload
+              Wire.ok ~id:req.Request.id ~elapsed_s:(Mono.now () -. t0)
+                payload
             | Error d ->
               Wire.error ~id:req.Request.id Wire.Internal d)))
   in
@@ -744,7 +629,6 @@ let run ?on_ready ?(stop = fun () -> false) cfg =
         cfg;
         started = Mono.now ();
         cache;
-        pool = Pool.create ~max_entries:cfg.pool_entries ();
         queue = Queue.create ();
         replay = Hashtbl.create 64;
         replay_clock = 0;

@@ -2,12 +2,14 @@
     service.
 
     One single-threaded event loop owns the sockets, the admission
-    queue, the {!Cache} and the warm {!Pool}; heavy work runs either
-    inline on warm handles (analyze / rate) or isolated in a
-    {!Ser_jobs.Supervisor} worker process, the daemon's own executable
-    in [worker] mode (optimize, and anything with [isolate = true]), so
-    a crashing or hanging evaluation kills one child, never the
-    daemon.
+    queue and the {!Cache}. A cache miss runs the same
+    {!Ser_cli.Handlers} code as the one-shot CLI, either inline over
+    the netlist and library already loaded for the cache key (analyze,
+    rate, odc) or isolated in a {!Ser_jobs.Supervisor} worker process,
+    the daemon's own executable in [worker] mode (optimize, and
+    anything with [isolate = true]), so a crashing or hanging
+    evaluation kills one child, never the daemon. Both ways give the
+    payload {!Ser_cli.Handlers.run} gives.
 
     Robustness contract, in protocol terms:
 
@@ -30,9 +32,9 @@
       one connection are counted and contained, never fatal.
 
     [health]/[stats] requests bypass the queue entirely and report
-    queue depth, cache hit rate, warm-pool state, p50/p99 service
-    latency, [jobs.journal_fsync_us] quantiles and the per-domain
-    memory high-water gauges. *)
+    queue depth, cache hit rate, p50/p99 service latency,
+    [jobs.journal_fsync_us] quantiles and the per-domain memory
+    high-water gauges. *)
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -44,7 +46,6 @@ type config = {
       (** applied to requests that carry no [deadline_s] *)
   cache_entries : int;
   cache_dir : string option;  (** persistence directory; [None] = memory only *)
-  pool_entries : int;
   replay_entries : int;  (** idempotency window size *)
   worker_timeout_s : float;  (** isolated-attempt watchdog *)
   worker_retries : int;
@@ -57,8 +58,8 @@ type config = {
 
 val default : socket:string -> config
 (** Unix socket only; queue 16, 16 MiB frames, no default deadline,
-    256 cache entries (memory only), 4 warm handles, replay window
-    128, worker watchdog 120 s with 1 retry. *)
+    256 cache entries (memory only), replay window 128, worker
+    watchdog 120 s with 1 retry. *)
 
 val run :
   ?on_ready:(unit -> unit) ->

@@ -32,13 +32,11 @@ let retryable = function
 
 let id_field id = Json.field_opt "id" (Option.map (fun s -> Json.Str s) id)
 
-let ok ?(cache_hit = false) ?(warm = false) ?(replayed = false) ~id
-    ~elapsed_s payload =
+let ok ?(cache_hit = false) ?(replayed = false) ~id ~elapsed_s payload =
   Json.Obj
     (("ok", Json.Bool true) :: id_field id
     @ [
         ("cache_hit", Json.Bool cache_hit);
-        ("warm", Json.Bool warm);
         ("replayed", Json.Bool replayed);
         ("elapsed_s", Json.Num elapsed_s);
         ("payload", payload);
@@ -56,7 +54,6 @@ type response = {
   r_id : string option;
   r_status : status;
   r_cache_hit : bool;
-  r_warm : bool;
   r_replayed : bool;
   r_elapsed_s : float;
 }
@@ -83,7 +80,6 @@ let response_of_json j =
             r_id;
             r_status = Ok_payload payload;
             r_cache_hit = bool_member "cache_hit" j;
-            r_warm = bool_member "warm" j;
             r_replayed = bool_member "replayed" j;
             r_elapsed_s =
               (match Json.member "elapsed_s" j with
@@ -109,7 +105,6 @@ let response_of_json j =
           r_id;
           r_status = Rejected (reject, msg, diag);
           r_cache_hit = false;
-          r_warm = false;
           r_replayed = bool_member "replayed" j;
           r_elapsed_s = 0.;
         }

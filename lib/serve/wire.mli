@@ -4,7 +4,7 @@
     Every reply the daemon writes is one of two shapes:
 
     {v
-    {"ok":true, "id":..., "cache_hit":b, "warm":b, "replayed":b,
+    {"ok":true, "id":..., "cache_hit":b, "replayed":b,
      "elapsed_s":n, "payload":{...}}
     {"ok":false, "id":..., "error":"overloaded", "diag":{...}}
     v}
@@ -33,16 +33,14 @@ val retryable : reject -> bool
 
 val ok :
   ?cache_hit:bool ->
-  ?warm:bool ->
   ?replayed:bool ->
   id:string option ->
   elapsed_s:float ->
   Ser_util.Json.t ->
   Ser_util.Json.t
 (** Success envelope around a result payload. [cache_hit]: served from
-    the content-addressed cache; [warm]: computed on a pooled warm
-    handle; [replayed]: idempotent replay of a previously computed
-    response for the same request id. *)
+    the content-addressed cache; [replayed]: idempotent replay of a
+    previously computed response for the same request id. *)
 
 val error :
   id:string option -> reject -> Ser_util.Diag.t -> Ser_util.Json.t
@@ -51,7 +49,6 @@ type response = {
   r_id : string option;
   r_status : status;
   r_cache_hit : bool;
-  r_warm : bool;
   r_replayed : bool;
   r_elapsed_s : float;
 }
@@ -65,4 +62,7 @@ val response_of_json :
   Ser_util.Json.t -> (response, string) result
 (** Total decoder for the client side; [Error] describes the malformed
     envelope. An unknown ["error"] string maps to {!Internal} rather
-    than failing, so old clients survive new rejection kinds. *)
+    than failing, so old clients survive new rejection kinds. A
+    provenance flag that is absent reads as [false] and an unknown one
+    is ignored, so old and new envelopes decode on either side (older
+    daemons also sent a ["warm"] flag). *)

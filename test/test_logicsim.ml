@@ -318,10 +318,18 @@ let test_biased_inputs () =
 
 let test_parallel_identical () =
   let c = Ser_circuits.Iscas.load "c432" in
-  let run domains =
-    Probs.path_probabilities ~domains ~rng:(Ser_rng.Rng.create 4) ~vectors:500 c
+  let run jobs =
+    Ser_par.Par.set_jobs jobs;
+    Probs.path_probabilities ~rng:(Ser_rng.Rng.create 4) ~vectors:500 c
   in
-  let seq = run 1 and par = run 3 in
+  let width = Ser_par.Par.jobs () in
+  let seq, par =
+    Fun.protect
+      ~finally:(fun () -> Ser_par.Par.set_jobs width)
+      (fun () ->
+        let seq = run 1 in
+        (seq, run 2))
+  in
   Array.iteri
     (fun i row ->
       Array.iteri

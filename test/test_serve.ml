@@ -226,6 +226,13 @@ let test_request_rejects () =
             ("circuit", Json.Str "c17");
             ("vectors", Json.int (-5));
           ] );
+      ( "negative budget_evals",
+        Json.Obj
+          [
+            ("op", Json.Str "optimize");
+            ("circuit", Json.Str "c17");
+            ("budget_evals", Json.int (-1));
+          ] );
     ]
   in
   List.iter
@@ -247,6 +254,22 @@ let test_wire_roundtrip () =
     Alcotest.(check bool) "cache_hit" true r.Wire.r_cache_hit;
     Alcotest.(check bool) "payload" true (r.Wire.r_status = Wire.Ok_payload payload)
   | Error msg -> Alcotest.failf "ok envelope rejected: %s" msg);
+  (* an absent provenance flag reads as false and an unknown one is
+     ignored: older daemons also sent "warm", older clients read it *)
+  Alcotest.(check bool) "no warm flag" true
+    (Json.member "warm" (Wire.ok ~id:None ~elapsed_s:0. payload) = None);
+  (match
+     Wire.response_of_json
+       (Json.Obj
+          [ ("ok", Json.Bool true); ("warm", Json.Bool true);
+            ("payload", payload) ])
+   with
+  | Ok r ->
+    Alcotest.(check bool) "absent cache_hit" false r.Wire.r_cache_hit;
+    Alcotest.(check bool) "absent replayed" false r.Wire.r_replayed;
+    Alcotest.(check bool) "old envelope payload" true
+      (r.Wire.r_status = Wire.Ok_payload payload)
+  | Error msg -> Alcotest.failf "older envelope rejected: %s" msg);
   List.iter
     (fun reject ->
       let d = Diag.error ~subsystem:"serve" "synthetic" in
@@ -284,7 +307,9 @@ let call_ok addr req =
   | Ok { Wire.r_status = Wire.Rejected (k, msg, _); _ } ->
     Alcotest.failf "rejected (%s): %s" (Wire.reject_to_string k) msg
 
-let test_daemon_smoke () =
+(* Start a daemon on a private socket with the extra flags [args dir],
+   run [f] against it, then SIGTERM it and require a clean drain. *)
+let with_daemon ~args f =
   let dir = tmpdir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
@@ -293,48 +318,149 @@ let test_daemon_smoke () =
       let addr = Server.Unix_sock socket in
       let pid =
         Ser_faultsim.Harness.spawn_serve ~sertool:(Sertool_exe.get ()) ~socket
-          ~spool_dir:dir
-          [ "--cache-dir"; Filename.concat dir "cache" ]
+          ~spool_dir:dir (args dir)
       in
       let finish () =
         (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
         try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
       in
-      match
+      let result, status =
         Fun.protect
           ~finally:(fun () -> ignore (finish ()))
           (fun () ->
             Alcotest.(check bool) "daemon up" true
               (Client.wait_ready ~opts:client_opts addr);
-            let r1 = call_ok addr (analyze_json ()) in
-            Alcotest.(check bool) "first is computed" false r1.Wire.r_cache_hit;
-            let r2 = call_ok addr (analyze_json ()) in
-            Alcotest.(check bool) "repeat is a cache hit" true
-              r2.Wire.r_cache_hit;
-            Alcotest.(check bool) "identical payload" true
-              (r1.Wire.r_status = r2.Wire.r_status);
-            (* idempotent request ids replay without re-execution *)
-            let r3 = call_ok addr (analyze_json ~id:"rq-1" ()) in
-            Alcotest.(check bool) "fresh id executes" false r3.Wire.r_replayed;
-            let r4 = call_ok addr (analyze_json ~id:"rq-1" ()) in
-            Alcotest.(check bool) "repeated id replays" true r4.Wire.r_replayed;
-            Alcotest.(check bool) "replay payload identical" true
-              (r3.Wire.r_status = r4.Wire.r_status);
-            (match Client.health ~opts:client_opts addr with
-            | Error d -> Alcotest.failf "health: %s" (Diag.to_string d)
-            | Ok h ->
-              Alcotest.(check bool) "health reports ok" true
-                (Json.member "status" h = Some (Json.Str "ok")));
-            (* SIGTERM: the daemon drains and exits cleanly *)
-            finish ())
-      with
-      | Unix.WEXITED 0 -> ()
+            let result = f addr in
+            (result, finish ()))
+      in
+      match status with
+      | Unix.WEXITED 0 -> result
       | st ->
         Alcotest.failf "daemon did not drain cleanly: %s"
           (match st with
           | Unix.WEXITED n -> Printf.sprintf "exit %d" n
           | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
           | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n))
+
+let test_daemon_smoke () =
+  with_daemon
+    ~args:(fun dir -> [ "--cache-dir"; Filename.concat dir "cache" ])
+    (fun addr ->
+      let r1 = call_ok addr (analyze_json ()) in
+      Alcotest.(check bool) "first is computed" false r1.Wire.r_cache_hit;
+      let r2 = call_ok addr (analyze_json ()) in
+      Alcotest.(check bool) "repeat is a cache hit" true r2.Wire.r_cache_hit;
+      Alcotest.(check bool) "identical payload" true
+        (r1.Wire.r_status = r2.Wire.r_status);
+      (* idempotent request ids replay without re-execution *)
+      let r3 = call_ok addr (analyze_json ~id:"rq-1" ()) in
+      Alcotest.(check bool) "fresh id executes" false r3.Wire.r_replayed;
+      let r4 = call_ok addr (analyze_json ~id:"rq-1" ()) in
+      Alcotest.(check bool) "repeated id replays" true r4.Wire.r_replayed;
+      Alcotest.(check bool) "replay payload identical" true
+        (r3.Wire.r_status = r4.Wire.r_status);
+      match Client.health ~opts:client_opts addr with
+      | Error d -> Alcotest.failf "health: %s" (Diag.to_string d)
+      | Ok h ->
+        Alcotest.(check bool) "health reports ok" true
+          (Json.member "status" h = Some (Json.Str "ok")))
+
+(* --------------------- cross-entry differential -------------------- *)
+
+(* Every op, small enough for a unit test; odc once per mode. *)
+let cross_entry_requests =
+  let c17 = Request.Spec "c17" and c432 = Request.Spec "c432" in
+  [
+    ("analyze aserta", Request.make ~vectors:300 Request.Analyze c432);
+    ("analyze serpp", Request.make ~backend:"serpp" Request.Analyze c432);
+    ("rate", Request.make ~vectors:300 Request.Rate c432);
+    ("odc exhaustive", Request.make ~vectors:256 Request.Odc c17);
+    ( "odc sampled",
+      Request.make ~vectors:256 ~odc_mode:"sampled" Request.Odc c432 );
+    ( "optimize",
+      Request.make ~vectors:200 ~evals:6 ~greedy:1 Request.Optimize c17 );
+  ]
+
+let worker_payload dir i req =
+  let spool = Filename.concat dir (Printf.sprintf "req%d.json" i) in
+  let out = Filename.concat dir (Printf.sprintf "out%d.json" i) in
+  Out_channel.with_open_bin spool (fun oc ->
+      output_string oc (Json.to_string (Request.to_json req)));
+  let sertool = Sertool_exe.get () in
+  let fd =
+    Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
+  in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.create_process sertool
+          [| sertool; "worker"; "--req-file"; spool |]
+          Unix.stdin fd Unix.stderr)
+  in
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "worker %d did not exit 0" i);
+  let doc = In_channel.with_open_bin out In_channel.input_all in
+  match Json.of_string doc with
+  | Ok j -> (
+    match Json.member "result" j with
+    | Some r -> r
+    | None -> Alcotest.failf "worker %d: no result in %s" i doc)
+  | Error msg -> Alcotest.failf "worker %d: %s" i msg
+
+(* A fresh daemon per route: its cache must not answer the other
+   route's requests. *)
+let serve_payloads ~isolate =
+  with_daemon ~args:(fun _ -> []) (fun addr ->
+      List.map
+        (fun (name, req) ->
+          let r =
+            call_ok addr
+              (Request.to_json { req with Request.isolate = Some isolate })
+          in
+          Alcotest.(check bool) (name ^ " computed") false r.Wire.r_cache_hit;
+          match r.Wire.r_status with
+          | Wire.Ok_payload p -> p
+          | Wire.Rejected _ -> assert false)
+        cross_entry_requests)
+
+(* One request set through the four ways in — in-process [Handlers.run],
+   a [sertool worker --req-file] child, a daemon inline and a daemon
+   with [isolate=true] — at whatever pool width SERTOOL_JOBS sets for
+   this process and its worker children (the daemon itself runs at
+   -j 1). Payloads must render byte for byte the same. *)
+let test_cross_entry () =
+  let render = Json.to_string ~indent:false in
+  let direct =
+    List.map
+      (fun (name, req) ->
+        match Ser_cli.Handlers.run req with
+        | Ok p -> render p
+        | Error d -> Alcotest.failf "%s: %s" name (Diag.to_string d))
+      cross_entry_requests
+  in
+  let dir = tmpdir () in
+  let worker =
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        List.mapi
+          (fun i (_, req) -> render (worker_payload dir i req))
+          cross_entry_requests)
+  in
+  let inline = List.map render (serve_payloads ~isolate:false) in
+  let isolated = List.map render (serve_payloads ~isolate:true) in
+  List.iteri
+    (fun i (name, _) ->
+      let expected = List.nth direct i in
+      List.iter
+        (fun (route, payloads) ->
+          Alcotest.(check string) (name ^ " via " ^ route) expected
+            (List.nth payloads i))
+        [ ("worker", worker); ("serve inline", inline);
+          ("serve isolated", isolated) ])
+    cross_entry_requests
 
 let () =
   Alcotest.run "serve"
@@ -362,5 +488,9 @@ let () =
           Alcotest.test_case "wire envelopes" `Quick test_wire_roundtrip;
         ] );
       ( "daemon",
-        [ Alcotest.test_case "end-to-end smoke" `Quick test_daemon_smoke ] );
+        [
+          Alcotest.test_case "end-to-end smoke" `Quick test_daemon_smoke;
+          Alcotest.test_case "cross-entry payloads identical" `Quick
+            test_cross_entry;
+        ] );
     ]
